@@ -56,12 +56,11 @@ diff -ru "$SH_DIR/json_s1" "$SH_DIR/json_s4"
 rm -rf "$SH_DIR"
 
 echo "== commit-mode A/B: lockstep vs relaxed must be byte-identical =="
-# The parallel-commit axis: every deterministic (sim) scenario, run once
+# The commit-schedule axis: every deterministic (sim) scenario, run once
 # with the lockstep executor (one event at a time in global order) and
-# once with the relaxed executor (safe-window batches committed
-# concurrently across host threads), both at 4 engine partitions. Rows
-# and every BENCH_*.json must not differ by one byte — when the relaxed
-# executor commits batches in parallel, the simulation must not notice.
+# once with the relaxed executor (per-partition safe-window batches),
+# both at 4 engine partitions. Rows and every BENCH_*.json must not
+# differ by one byte — the simulation must not notice the schedule.
 CM_DIR=$(mktemp -d)
 mkdir -p "$CM_DIR/json_lock" "$CM_DIR/json_rel"
 LR_ENGINE_SHARDS=4 LR_ENGINE_COMMIT=lockstep LR_JSON_DIR="$CM_DIR/json_lock" \
@@ -156,5 +155,19 @@ echo "== fuzz farm: checked-in regression corpus =="
 # Regenerate with: lr-fuzz --regen-corpus corpus --seeds 4
 cargo run -q --release --offline -p lr-fuzz --bin lr-fuzz -- \
     --check-corpus corpus
+
+echo "== perfbench self-tests =="
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "== perfbench: fingerprint-checked run of every workload =="
+# A short pass over all three workloads (paper cells live, the same
+# cells replayed, and the kilo-core NUMA replay). perfbench exits non-zero
+# when any cell fails, including a stats fingerprint that no longer
+# matches perfbench/fingerprints.txt — so any change that moves a
+# simulated result fails here. perfbench refuses to start while an
+# LR_* knob is set, so the run clears them.
+env $(env | sed -n 's/^\(LR_[A-Za-z0-9_]*\)=.*/-u \1/p') \
+    cargo run -q --release --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload all --seed 0 --seconds 1 > /dev/null
 
 echo "CI OK"

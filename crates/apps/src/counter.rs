@@ -49,37 +49,37 @@ impl CounterBench {
     }
 
     /// Run `ops` increment operations from this thread.
-    pub fn run_thread(&self, ctx: &mut ThreadCtx, ops: u64) {
+    pub async fn run_thread(&self, ctx: &mut ThreadCtx, ops: u64) {
         let mut clh_handle = match self.kind {
-            CounterLockKind::Clh => Some(self.clh.handle(ctx)),
+            CounterLockKind::Clh => Some(self.clh.handle(ctx).await),
             _ => None,
         };
         for _ in 0..ops {
             match self.kind {
                 CounterLockKind::Tts => {
-                    self.tts.lock(ctx);
-                    let v = ctx.read(self.counter);
-                    ctx.write(self.counter, v + 1);
-                    self.tts.unlock(ctx);
+                    self.tts.lock(ctx).await;
+                    let v = ctx.read(self.counter).await;
+                    ctx.write(self.counter, v + 1).await;
+                    self.tts.unlock(ctx).await;
                 }
                 CounterLockKind::TtsLeased => {
-                    self.leased.lock(ctx);
-                    let v = ctx.read(self.counter);
-                    ctx.write(self.counter, v + 1);
-                    self.leased.unlock(ctx);
+                    self.leased.lock(ctx).await;
+                    let v = ctx.read(self.counter).await;
+                    ctx.write(self.counter, v + 1).await;
+                    self.leased.unlock(ctx).await;
                 }
                 CounterLockKind::TicketBackoff => {
-                    let t = self.ticket.lock(ctx);
-                    let v = ctx.read(self.counter);
-                    ctx.write(self.counter, v + 1);
-                    self.ticket.unlock(ctx, t);
+                    let t = self.ticket.lock(ctx).await;
+                    let v = ctx.read(self.counter).await;
+                    ctx.write(self.counter, v + 1).await;
+                    self.ticket.unlock(ctx, t).await;
                 }
                 CounterLockKind::Clh => {
                     let h = clh_handle.as_mut().unwrap();
-                    self.clh.lock(ctx, h);
-                    let v = ctx.read(self.counter);
-                    ctx.write(self.counter, v + 1);
-                    self.clh.unlock(ctx, h);
+                    self.clh.lock(ctx, h).await;
+                    let v = ctx.read(self.counter).await;
+                    ctx.write(self.counter, v + 1).await;
+                    self.clh.unlock(ctx, h).await;
                 }
             }
             ctx.count_op();
@@ -95,7 +95,7 @@ impl CounterBench {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_machine::{Machine, SystemConfig, ThreadFn};
+    use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 
     fn run(kind: CounterLockKind, threads: usize, per: u64) {
         let mut m = Machine::new(SystemConfig::with_cores(threads));
@@ -104,11 +104,11 @@ mod tests {
         let mut progs: Vec<ThreadFn> = Vec::new();
         for tid in 0..threads {
             let final_val = final_val.clone();
-            progs.push(Box::new(move |ctx| {
-                bench.run_thread(ctx, per);
+            progs.push(program(async move |ctx: &mut ThreadCtx| {
+                bench.run_thread(ctx, per).await;
                 if tid == 0 {
                     loop {
-                        let v = ctx.read(bench.counter_addr());
+                        let v = ctx.read(bench.counter_addr()).await;
                         if v == per * threads as u64 {
                             final_val.store(v, std::sync::atomic::Ordering::Relaxed);
                             break;

@@ -94,7 +94,7 @@ impl Pagerank {
 
     /// Run `iterations` of Pagerank as thread `tid` of `threads`.
     /// Counts one application op per node processed per phase-1 sweep.
-    pub fn run_thread(
+    pub async fn run_thread(
         &self,
         ctx: &mut ThreadCtx,
         graph: &Graph,
@@ -112,14 +112,14 @@ impl Pagerank {
             // the shared cell under the contended lock.
             let mut local_dangling = 0u64;
             for u in lo..hi {
-                let r = ctx.read(self.rank_of(u as u32));
+                let r = ctx.read(self.rank_of(u as u32)).await;
                 let edges = &graph.out[u];
                 if edges.is_empty() {
                     local_dangling += r;
                 } else {
                     let share = r / edges.len() as u64;
                     for &v in edges {
-                        ctx.faa(self.acc_of(v), share);
+                        ctx.faa(self.acc_of(v), share).await;
                         ctx.work(4); // index arithmetic per edge
                     }
                 }
@@ -131,38 +131,38 @@ impl Pagerank {
                 if edges.is_empty() {
                     match self.variant {
                         PagerankVariant::Base => {
-                            self.tts.lock(ctx);
-                            let m = ctx.read(self.dangling_mass);
-                            ctx.write(self.dangling_mass, m + local_dangling);
-                            self.tts.unlock(ctx);
+                            self.tts.lock(ctx).await;
+                            let m = ctx.read(self.dangling_mass).await;
+                            ctx.write(self.dangling_mass, m + local_dangling).await;
+                            self.tts.unlock(ctx).await;
                         }
                         PagerankVariant::Leased => {
-                            self.leased.lock(ctx);
-                            let m = ctx.read(self.dangling_mass);
-                            ctx.write(self.dangling_mass, m + local_dangling);
-                            self.leased.unlock(ctx);
+                            self.leased.lock(ctx).await;
+                            let m = ctx.read(self.dangling_mass).await;
+                            ctx.write(self.dangling_mass, m + local_dangling).await;
+                            self.leased.unlock(ctx).await;
                         }
                     }
                     local_dangling = 0;
                 }
             }
-            barrier.wait(ctx);
+            barrier.wait(ctx).await;
 
             // Phase 2: apply damping and the dangling share; reset accs.
-            let dm = ctx.read(self.dangling_mass);
+            let dm = ctx.read(self.dangling_mass).await;
             let dangling_share = dm / n as u64;
             for u in lo..hi {
-                let acc = ctx.read(self.acc_of(u as u32));
+                let acc = ctx.read(self.acc_of(u as u32)).await;
                 let new_rank = (SCALE / n as u64) * (DAMPING_DEN - DAMPING_NUM) / DAMPING_DEN
                     + (acc + dangling_share) * DAMPING_NUM / DAMPING_DEN;
-                ctx.write(self.rank_of(u as u32), new_rank);
-                ctx.write(self.acc_of(u as u32), 0);
+                ctx.write(self.rank_of(u as u32), new_rank).await;
+                ctx.write(self.acc_of(u as u32), 0).await;
             }
-            barrier.wait(ctx);
+            barrier.wait(ctx).await;
             if tid == 0 {
-                ctx.write(self.dangling_mass, 0);
+                ctx.write(self.dangling_mass, 0).await;
             }
-            barrier.wait(ctx);
+            barrier.wait(ctx).await;
         }
     }
 }
@@ -170,7 +170,7 @@ impl Pagerank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_machine::{Machine, SystemConfig, ThreadFn};
+    use lr_machine::{program, Machine, SystemConfig, ThreadFn};
     use std::sync::Arc;
 
     fn run(variant: PagerankVariant, threads: usize) -> u64 {
@@ -182,9 +182,9 @@ mod tests {
             .map(|tid| {
                 let pr = pr.clone();
                 let graph = graph.clone();
-                Box::new(move |ctx: &mut ThreadCtx| {
-                    pr.run_thread(ctx, &graph, tid, threads, 3);
-                }) as ThreadFn
+                program(async move |ctx: &mut ThreadCtx| {
+                    pr.run_thread(ctx, &graph, tid, threads, 3).await;
+                })
             })
             .collect();
         let stats = m.run(progs);
@@ -221,9 +221,9 @@ mod tests {
             .map(|tid| {
                 let pr = pr.clone();
                 let graph = graph.clone();
-                Box::new(move |ctx: &mut ThreadCtx| {
-                    pr.run_thread(ctx, &graph, tid, threads, 4);
-                }) as ThreadFn
+                program(async move |ctx: &mut ThreadCtx| {
+                    pr.run_thread(ctx, &graph, tid, threads, 4).await;
+                })
             })
             .collect();
         let (_, mem) = m.run_with_memory(progs);

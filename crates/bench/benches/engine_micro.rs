@@ -7,7 +7,7 @@
 //! Hand-rolled timing harness (median of N timed runs after warmup) so
 //! the workspace carries no external benchmarking dependency.
 
-use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sim_core::EventQueue;
 use std::hint::black_box;
 use std::time::Instant;
@@ -50,11 +50,11 @@ fn bench_machine_roundtrip() {
     bench("machine_1_thread_1k_cached_reads", 10, || {
         let mut m = Machine::new(SystemConfig::with_cores(1));
         let a = m.setup(|mem| mem.alloc_line_aligned(8));
-        let stats = m.run(vec![Box::new(move |ctx: &mut ThreadCtx| {
+        let stats = m.run(vec![program(async move |ctx: &mut ThreadCtx| {
             for _ in 0..1000 {
-                black_box(ctx.read(a));
+                black_box(ctx.read(a).await);
             }
-        }) as ThreadFn]);
+        })]);
         stats.total_cycles
     });
 }
@@ -65,11 +65,11 @@ fn bench_contended_transactions() {
         let a = m.setup(|mem| mem.alloc_line_aligned(8));
         let progs: Vec<ThreadFn> = (0..4)
             .map(|_| {
-                Box::new(move |ctx: &mut ThreadCtx| {
+                program(async move |ctx: &mut ThreadCtx| {
                     for _ in 0..100 {
-                        ctx.faa(a, 1);
+                        ctx.faa(a, 1).await;
                     }
-                }) as ThreadFn
+                })
             })
             .collect();
         m.run(progs).total_cycles

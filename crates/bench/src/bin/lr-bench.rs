@@ -29,8 +29,7 @@ OPTIONS:
                          (default: per-scenario, scaled by LR_OPS)
     --jobs N             Parallel worker threads for sim cells
                          (default: host cores; output is byte-identical
-                         for any N; clamped so jobs x LR_ENGINE_SHARDS
-                         never oversubscribes the host)
+                         for any N)
     --smoke              Tiny ops + 2-thread cells across all selected
                          scenarios: fast offline coverage of the whole
                          experiment surface (used by ci.sh)

@@ -24,6 +24,6 @@ pub use report::{JsonPolicy, Report};
 pub use scenario::{CellCtx, CellOut, RecordTo, Scenario, ScenarioKind};
 pub use scenarios::{find, registry};
 pub use sweep::{
-    build_plan, clamp_jobs, default_jobs, max_threads_from_env, record_dir_from_env, run,
-    run_scenario, Plan, PlanOpts,
+    build_plan, default_jobs, max_threads_from_env, record_dir_from_env, run, run_scenario, Plan,
+    PlanOpts,
 };

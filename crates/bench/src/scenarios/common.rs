@@ -6,7 +6,7 @@
 use crate::harness::BenchRow;
 use crate::scenario::CellCtx;
 use lr_ds::{MsQueue, QueueVariant, StackVariant, TreiberStack};
-use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use lr_stm::{Tl2, Tl2Variant};
 
 /// Alternating push/pop pairs on a shared Treiber stack; `tweak`
@@ -24,14 +24,14 @@ pub(crate) fn stack_cell(
     let s = m.setup(|mem| TreiberStack::init(mem, variant));
     let progs: Vec<ThreadFn> = (0..threads)
         .map(|_| {
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 for i in 0..ops {
-                    s.push(ctx, i + 1);
+                    s.push(ctx, i + 1).await;
                     ctx.count_op();
-                    s.pop(ctx);
+                    s.pop(ctx).await;
                     ctx.count_op();
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     let stats = m.run(progs);
@@ -52,14 +52,14 @@ pub(crate) fn queue_cell(
     let q = m.setup(|mem| MsQueue::init(mem, variant));
     let progs: Vec<ThreadFn> = (0..threads)
         .map(|_| {
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 for i in 0..ops {
-                    q.enqueue(ctx, i + 1);
+                    q.enqueue(ctx, i + 1).await;
                     ctx.count_op();
-                    q.dequeue(ctx);
+                    q.dequeue(ctx).await;
                     ctx.count_op();
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     let stats = m.run(progs);
@@ -80,7 +80,7 @@ pub(crate) fn tl2_cell(ctx: &CellCtx, name: &str, variant: Tl2Variant) -> (Bench
         .map(|_| {
             let tl2 = tl2.clone();
             let aborts = aborts.clone();
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 let mut local = 0;
                 for _ in 0..ops {
                     let i = ctx.rng().gen_range(0..NUM_OBJECTS);
@@ -88,11 +88,11 @@ pub(crate) fn tl2_cell(ctx: &CellCtx, name: &str, variant: Tl2Variant) -> (Bench
                     while j == i {
                         j = ctx.rng().gen_range(0..NUM_OBJECTS);
                     }
-                    local += tl2.transact_pair(ctx, i, j, 1).aborts;
+                    local += tl2.transact_pair(ctx, i, j, 1).await.aborts;
                     ctx.count_op();
                 }
                 aborts.fetch_add(local, std::sync::atomic::Ordering::Relaxed);
-            }) as ThreadFn
+            })
         })
         .collect();
     let stats = m.run(progs);

@@ -1,7 +1,7 @@
 //! Host throughput of the simulator itself: how many simulated
-//! instructions and engine events the lockstep runtime retires per
-//! wall-clock second. Not a paper figure — this guards the engine's
-//! constant factor (rendezvous handoff cost, per-event allocation) so
+//! instructions and engine events the machine retires per wall-clock
+//! second. Not a paper figure — this guards the engine's constant
+//! factor (workload polling, per-event allocation) so
 //! the real experiments keep finishing in seconds as workloads grow.
 //!
 //! Three series bracket the engine's work per instruction:
@@ -27,7 +27,7 @@
 
 use crate::harness::BenchRow;
 use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
-use lr_machine::{engine_shards_from_env, Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{engine_shards_from_env, program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use std::time::Instant;
 
 pub static SCENARIO: Scenario = Scenario {
@@ -63,19 +63,19 @@ fn run_cell(ctx: &CellCtx) -> CellOut {
     let progs: Vec<ThreadFn> = (0..threads)
         .map(|tid| {
             let own = lines[tid];
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 match series {
                     0 => {
                         for _ in 0..ops {
-                            ctx.faa(shared, 1);
+                            ctx.faa(shared, 1).await;
                             ctx.count_op();
                         }
                     }
                     1 => {
                         for i in 0..ops / 2 {
-                            ctx.write(own, i);
+                            ctx.write(own, i).await;
                             ctx.count_op();
-                            ctx.read(own);
+                            ctx.read(own).await;
                             ctx.count_op();
                         }
                     }
@@ -89,14 +89,14 @@ fn run_cell(ctx: &CellCtx) -> CellOut {
                         // no-op), keeping a deep far-future horizon
                         // resident in the event queue.
                         for i in 0..ops / 3 {
-                            ctx.lease_max(own);
-                            ctx.write(own, i);
-                            ctx.release(own);
+                            ctx.lease_max(own).await;
+                            ctx.write(own, i).await;
+                            ctx.release(own).await;
                             ctx.count_op();
                         }
                     }
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     let t0 = Instant::now();

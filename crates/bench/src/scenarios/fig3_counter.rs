@@ -8,7 +8,7 @@
 use crate::harness::BenchRow;
 use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
 use lr_apps::{CounterBench, CounterLockKind};
-use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 
 pub static SCENARIO: Scenario = Scenario {
     name: "fig3_counter",
@@ -41,9 +41,9 @@ fn run_cell(ctx: &CellCtx) -> CellOut {
     let bench = m.setup(|mem| CounterBench::init(mem, kind));
     let progs: Vec<ThreadFn> = (0..threads)
         .map(|_| {
-            Box::new(move |ctx: &mut ThreadCtx| {
-                bench.run_thread(ctx, ops);
-            }) as ThreadFn
+            program(async move |ctx: &mut ThreadCtx| {
+                bench.run_thread(ctx, ops).await;
+            })
         })
         .collect();
     let (stats, mem) = m.run_with_memory(progs);

@@ -10,7 +10,7 @@
 use crate::harness::BenchRow;
 use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
 use lr_ds::PriorityQueue;
-use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sim_mem::SimMemory;
 
 const PREFILL: u64 = 256;
@@ -47,20 +47,20 @@ fn run_cell(ctx: &CellCtx) -> CellOut {
     let pq = m.setup(init);
     let progs: Vec<ThreadFn> = (0..threads)
         .map(|tid| {
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 // Pre-fill a private slice of keys (not counted).
                 for i in 0..PREFILL / threads as u64 + 1 {
                     let k = (tid as u64 + 1) * 1_000_000 + i * 17 + 1;
-                    pq.insert(ctx, k, tid as u64);
+                    pq.insert(ctx, k, tid as u64).await;
                 }
                 for _ in 0..ops {
                     let k: u64 = ctx.rng().gen_range(1..100_000_000);
-                    pq.insert(ctx, k, tid as u64);
+                    pq.insert(ctx, k, tid as u64).await;
                     ctx.count_op();
-                    pq.delete_min(ctx);
+                    pq.delete_min(ctx).await;
                     ctx.count_op();
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     let stats = m.run(progs);

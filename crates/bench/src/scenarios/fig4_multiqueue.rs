@@ -6,7 +6,7 @@
 use crate::harness::BenchRow;
 use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
 use lr_ds::{MqVariant, MultiQueue};
-use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 
 const NUM_QUEUES: usize = 8;
 const PREFILL: u64 = 512;
@@ -36,19 +36,19 @@ fn run_cell(ctx: &CellCtx) -> CellOut {
     let progs: Vec<ThreadFn> = (0..threads)
         .map(|tid| {
             let mq = mq.clone();
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 for i in 0..PREFILL / threads as u64 + 1 {
                     let k = (tid as u64 + 1) * 1_000_000 + i * 13 + 1;
-                    mq.insert(ctx, k, tid as u64);
+                    mq.insert(ctx, k, tid as u64).await;
                 }
                 for _ in 0..ops {
                     let k: u64 = ctx.rng().gen_range(1..100_000_000);
-                    mq.insert(ctx, k, tid as u64);
+                    mq.insert(ctx, k, tid as u64).await;
                     ctx.count_op();
-                    mq.delete_min(ctx);
+                    mq.delete_min(ctx).await;
                     ctx.count_op();
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     let stats = m.run(progs);

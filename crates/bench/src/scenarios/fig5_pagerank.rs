@@ -7,7 +7,7 @@
 use crate::harness::BenchRow;
 use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
 use lr_apps::{Graph, Pagerank, PagerankVariant, SCALE};
-use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use std::sync::Arc;
 
 pub static SCENARIO: Scenario = Scenario {
@@ -43,9 +43,9 @@ fn run_cell(ctx: &CellCtx) -> CellOut {
         .map(|tid| {
             let pr = pr.clone();
             let graph = graph.clone();
-            Box::new(move |ctx: &mut ThreadCtx| {
-                pr.run_thread(ctx, &graph, tid, threads, iterations);
-            }) as ThreadFn
+            program(async move |ctx: &mut ThreadCtx| {
+                pr.run_thread(ctx, &graph, tid, threads, iterations).await;
+            })
         })
         .collect();
     let (stats, mem) = m.run_with_memory(progs);

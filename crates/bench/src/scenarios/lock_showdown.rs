@@ -28,7 +28,7 @@
 use crate::harness::BenchRow;
 use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
 use lr_ds::{DelegatedStack, StackApply, STACK_EMPTY, STACK_PUSH};
-use lr_machine::{Machine, MachineStats, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{program, Machine, MachineStats, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sim_core::Addr;
 use lr_sync::{CsApply, DlockAlgo, LeasedLock, SpinLock, TryLock};
 use std::sync::{Arc, Mutex};
@@ -208,7 +208,7 @@ fn simulate(ctx: &CellCtx, series: usize, hot: bool, record: bool) -> RunOut {
             let guard = guard.clone();
             let own = own[tid];
             let agg = agg.clone();
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 let mut t = Tally::new();
                 let mut handle = match &guard {
                     Guard::Delegated(s) => Some(s.handle(tid)),
@@ -229,23 +229,25 @@ fn simulate(ctx: &CellCtx, series: usize, hot: bool, record: bool) -> RunOut {
                         let t0 = ctx.now();
                         let resp = match &guard {
                             Guard::Tts(l) => {
-                                l.lock(ctx);
-                                let r = apply.apply(ctx, op, arg);
-                                l.unlock(ctx);
+                                l.lock(ctx).await;
+                                let r = apply.apply(ctx, op, arg).await;
+                                l.unlock(ctx).await;
                                 t.acq += 1;
                                 t.comb += 1;
                                 r
                             }
                             Guard::TtsLease(l) => {
-                                l.lock(ctx);
-                                let r = apply.apply(ctx, op, arg);
-                                l.unlock(ctx);
+                                l.lock(ctx).await;
+                                let r = apply.apply(ctx, op, arg).await;
+                                l.unlock(ctx).await;
                                 t.acq += 1;
                                 t.comb += 1;
                                 r
                             }
                             Guard::Delegated(s) => {
-                                s.lock.run(ctx, handle.as_mut().unwrap(), &apply, op, arg)
+                                s.lock
+                                    .run(ctx, handle.as_mut().unwrap(), &apply, op, arg)
+                                    .await
                             }
                         };
                         let dt = ctx.now().saturating_sub(t0);
@@ -264,7 +266,7 @@ fn simulate(ctx: &CellCtx, series: usize, hot: bool, record: bool) -> RunOut {
                             }
                         }
                     } else {
-                        ctx.write(own, i);
+                        ctx.write(own, i).await;
                         ctx.work(48);
                     }
                     ctx.count_op();
@@ -274,7 +276,7 @@ fn simulate(ctx: &CellCtx, series: usize, hot: bool, record: bool) -> RunOut {
                     t.comb += h.combined;
                 }
                 agg.lock().unwrap().merge(&t);
-            }) as ThreadFn
+            })
         })
         .collect();
     let (stats, mem, info) = m.run_counted_info(progs);

@@ -35,7 +35,7 @@
 use crate::harness::BenchRow;
 use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
 use lr_ds::{ReplicatedKv, KV_MISS};
-use lr_machine::{Addr, Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{program, Addr, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sim_core::{SplitMix64, Zipf};
 
 pub static SCENARIO: Scenario = Scenario {
@@ -173,17 +173,17 @@ fn run_cell(ctx: &CellCtx) -> CellOut {
             .map(|(tid, prog)| {
                 let kv = kv.clone();
                 let prog = prog.clone();
-                Box::new(move |ctx: &mut ThreadCtx| {
+                program(async move |ctx: &mut ThreadCtx| {
                     let mut h = kv.handle(tid);
                     for (key, delta) in prog {
                         let r = match delta {
-                            Some(d) => kv.add(ctx, &mut h, key, d),
-                            None => kv.get_local(ctx, &h, key),
+                            Some(d) => kv.add(ctx, &mut h, key, d).await,
+                            None => kv.get_local(ctx, &h, key).await,
                         };
                         assert_ne!(r, KV_MISS, "seeded key can never miss");
                         ctx.count_op();
                     }
-                }) as ThreadFn
+                })
             })
             .collect();
         let (stats, mem) = m.run_with_memory(progs);
@@ -209,23 +209,23 @@ fn run_cell(ctx: &CellCtx) -> CellOut {
             .map(|prog| {
                 let vaddrs = vaddrs.clone();
                 let prog = prog.clone();
-                Box::new(move |ctx: &mut ThreadCtx| {
+                program(async move |ctx: &mut ThreadCtx| {
                     for (key, delta) in prog {
                         let a = vaddrs[key as usize - 1];
                         match delta {
                             None => {
-                                ctx.read(a);
+                                ctx.read(a).await;
                             }
                             Some(d) if leased => {
-                                ctx.lease_max(a);
-                                let v = ctx.read(a);
-                                ctx.write(a, v.wrapping_add(d));
-                                ctx.release(a);
+                                ctx.lease_max(a).await;
+                                let v = ctx.read(a).await;
+                                ctx.write(a, v.wrapping_add(d)).await;
+                                ctx.release(a).await;
                             }
                             Some(d) => {
-                                let mut v = ctx.read(a);
+                                let mut v = ctx.read(a).await;
                                 loop {
-                                    let (ok, seen) = ctx.cas_val(a, v, v.wrapping_add(d));
+                                    let (ok, seen) = ctx.cas_val(a, v, v.wrapping_add(d)).await;
                                     if ok {
                                         break;
                                     }
@@ -235,7 +235,7 @@ fn run_cell(ctx: &CellCtx) -> CellOut {
                         }
                         ctx.count_op();
                     }
-                }) as ThreadFn
+                })
             })
             .collect();
         let (stats, mem) = m.run_with_memory(progs);

@@ -30,7 +30,7 @@
 use crate::harness::BenchRow;
 use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
 use lr_machine::{
-    CommitMode, EngineInfo, Machine, MachineStats, SystemConfig, ThreadCtx, ThreadFn,
+    program, CommitMode, EngineInfo, Machine, MachineStats, SystemConfig, ThreadCtx, ThreadFn,
 };
 use std::time::Instant;
 
@@ -98,20 +98,20 @@ fn simulate(
     let progs: Vec<ThreadFn> = (0..threads)
         .map(|tid| {
             let own = lines[tid + 1];
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 // 3:1 contended-to-private mix: plenty of cross-tile
                 // directory traffic (the mailbox-heavy regime) with
                 // enough local work that partitions have independent
                 // event streams.
                 for i in 0..ops {
                     if i % 4 == 3 {
-                        ctx.write(own, i);
+                        ctx.write(own, i).await;
                     } else {
-                        ctx.faa(shared, 1);
+                        ctx.faa(shared, 1).await;
                     }
                     ctx.count_op();
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     let (stats, mem, info) = m.run_counted_info(progs);

@@ -11,7 +11,7 @@
 use crate::harness::BenchRow;
 use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
 use lr_lease::AdaptiveLease;
-use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sim_core::Cycle;
 
 const COMPUTE: Cycle = 150;
@@ -58,27 +58,27 @@ fn run_cell(ctx: &CellCtx) -> CellOut {
     let cell = m.setup(|mem| mem.alloc_line_aligned(8));
     let progs: Vec<ThreadFn> = (0..threads)
         .map(|_| {
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 let mut al = AdaptiveLease::default();
                 for _ in 0..ops {
                     loop {
                         let took = match mode {
                             Mode::Base => false,
                             Mode::StaticLease => {
-                                ctx.lease(cell, lease_time);
+                                ctx.lease(cell, lease_time).await;
                                 true
                             }
-                            Mode::Adaptive => al.lease(ctx, SITE, cell, lease_time),
+                            Mode::Adaptive => al.lease(ctx, SITE, cell, lease_time).await,
                         };
-                        let v = ctx.read(cell);
+                        let v = ctx.read(cell).await;
                         ctx.work(COMPUTE); // compute the new value
-                        let ok = ctx.cas(cell, v, v + 1);
+                        let ok = ctx.cas(cell, v, v + 1).await;
                         match mode {
                             Mode::Base => {}
                             Mode::StaticLease => {
-                                ctx.release(cell);
+                                ctx.release(cell).await;
                             }
-                            Mode::Adaptive => al.release(ctx, SITE, cell, took),
+                            Mode::Adaptive => al.release(ctx, SITE, cell, took).await,
                         }
                         if ok {
                             break;
@@ -86,7 +86,7 @@ fn run_cell(ctx: &CellCtx) -> CellOut {
                     }
                     ctx.count_op();
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     let stats = m.run(progs);

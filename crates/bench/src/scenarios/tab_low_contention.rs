@@ -6,7 +6,7 @@
 use crate::harness::BenchRow;
 use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
 use lr_ds::{Bst, HarrisList, HashTable, LockingSkipList};
-use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 
 const KEY_RANGE: u64 = 512;
 const PREFILL: u64 = 128;
@@ -32,36 +32,64 @@ pub static SCENARIO: Scenario = Scenario {
     footer: None,
 };
 
+/// The set under test.
+enum KeySet {
+    List(HarrisList),
+    Hash(HashTable),
+    Bst(Bst),
+    Skip(LockingSkipList),
+}
+
+impl KeySet {
+    /// `dice` 0 inserts `k`, 1 removes it, anything else looks it up.
+    async fn apply(&self, ctx: &mut ThreadCtx, dice: u8, k: u64) {
+        match (self, dice) {
+            (KeySet::List(l), 0) => l.insert(ctx, k).await,
+            (KeySet::List(l), 1) => l.remove(ctx, k).await,
+            (KeySet::List(l), _) => l.contains(ctx, k).await,
+            (KeySet::Hash(h), 0) => h.insert(ctx, k).await,
+            (KeySet::Hash(h), 1) => h.remove(ctx, k).await,
+            (KeySet::Hash(h), _) => h.contains(ctx, k).await,
+            (KeySet::Bst(b), 0) => b.insert(ctx, k).await,
+            (KeySet::Bst(b), 1) => b.remove(ctx, k).await,
+            (KeySet::Bst(b), _) => b.contains(ctx, k).await,
+            (KeySet::Skip(sl), 0) => sl.insert(ctx, k, k).await,
+            (KeySet::Skip(sl), 1) => sl.remove(ctx, k).await,
+            (KeySet::Skip(sl), _) => sl.contains(ctx, k).await,
+        };
+    }
+}
+
 /// One op: 80% contains, 10% insert, 10% remove, uniform keys.
-fn mixed_op(ctx: &mut ThreadCtx, op: &impl Fn(&mut ThreadCtx, u8, u64)) {
+async fn mixed_op(ctx: &mut ThreadCtx, set: &KeySet) {
     let k: u64 = ctx.rng().gen_range(1..KEY_RANGE);
     let dice: u8 = ctx.rng().gen_range(0..10);
-    op(ctx, dice, k);
+    set.apply(ctx, dice, k).await;
     ctx.count_op();
 }
 
 fn sweep<F>(ctx: &CellCtx, name: &str, build: F) -> BenchRow
 where
-    F: Fn(&mut Machine) -> Box<dyn Fn(&mut ThreadCtx, u8, u64) + Send + Sync>,
+    F: Fn(&mut Machine) -> KeySet,
 {
     let (threads, ops) = (ctx.threads, ctx.ops);
     let cfg = SystemConfig::with_cores(threads.max(2));
     let mut m = ctx.prepare(Machine::new(cfg.clone()));
-    let op = std::sync::Arc::new(build(&mut m));
+    let set = std::sync::Arc::new(build(&mut m));
     let stripe = PREFILL / threads as u64 + 1;
     let progs: Vec<ThreadFn> = (0..threads)
         .map(|tid| {
-            let op = op.clone();
-            Box::new(move |ctx: &mut ThreadCtx| {
+            let set = set.clone();
+            program(async move |ctx: &mut ThreadCtx| {
                 // Pre-fill a disjoint key stripe (uncounted).
                 for i in 0..stripe {
                     let k = (tid as u64 * stripe + i) % (KEY_RANGE - 1) + 1;
-                    op(ctx, 0, k);
+                    set.apply(ctx, 0, k).await;
                 }
                 for _ in 0..ops {
-                    mixed_op(ctx, op.as_ref());
+                    mixed_op(ctx, &set).await;
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     let stats = m.run(progs);
@@ -74,72 +102,18 @@ fn run_cell(ctx: &CellCtx) -> CellOut {
     let leased = (3..6).contains(&series);
     let row = match series {
         0 | 3 => sweep(ctx, name, |m| {
-            let l = m.setup(|mem| HarrisList::init(mem, leased));
-            Box::new(move |ctx, dice, k| {
-                match dice {
-                    0 => {
-                        l.insert(ctx, k);
-                    }
-                    1 => {
-                        l.remove(ctx, k);
-                    }
-                    _ => {
-                        l.contains(ctx, k);
-                    }
-                };
-            })
+            KeySet::List(m.setup(|mem| HarrisList::init(mem, leased)))
         }),
         1 | 4 => sweep(ctx, name, |m| {
-            let h = m.setup(|mem| HashTable::init(mem, 256, leased));
-            Box::new(move |ctx, dice, k| {
-                match dice {
-                    0 => {
-                        h.insert(ctx, k);
-                    }
-                    1 => {
-                        h.remove(ctx, k);
-                    }
-                    _ => {
-                        h.contains(ctx, k);
-                    }
-                };
-            })
+            KeySet::Hash(m.setup(|mem| HashTable::init(mem, 256, leased)))
         }),
         2 | 5 => sweep(ctx, name, |m| {
-            let b = m.setup(|mem| Bst::init(mem, leased));
-            Box::new(move |ctx, dice, k| {
-                match dice {
-                    0 => {
-                        b.insert(ctx, k);
-                    }
-                    1 => {
-                        b.remove(ctx, k);
-                    }
-                    _ => {
-                        b.contains(ctx, k);
-                    }
-                };
-            })
+            KeySet::Bst(m.setup(|mem| Bst::init(mem, leased)))
         }),
         // Locking skiplist set (lease variant not applicable: its locks
         // are per-node and short; the paper's skiplist-set numbers are
         // base-only here).
-        _ => sweep(ctx, name, |m| {
-            let sl = m.setup(LockingSkipList::init);
-            Box::new(move |ctx, dice, k| {
-                match dice {
-                    0 => {
-                        sl.insert(ctx, k, k);
-                    }
-                    1 => {
-                        sl.remove(ctx, k);
-                    }
-                    _ => {
-                        sl.contains(ctx, k);
-                    }
-                };
-            })
-        }),
+        _ => sweep(ctx, name, |m| KeySet::Skip(m.setup(LockingSkipList::init))),
     };
     CellOut::row(row)
 }

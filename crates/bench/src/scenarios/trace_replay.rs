@@ -1,25 +1,25 @@
-//! Record/replay throughput: how much faster the engine re-drives a
-//! recorded op stream than the live lockstep run that produced it.
+//! Record/replay throughput: how fast the engine re-drives a recorded
+//! op stream compared with the live run that produced it.
 //!
-//! Each cell records a live run with [`Machine::run_recorded`] (real OS
-//! worker threads, rendezvous handoffs), then replays the captured
-//! trace engine-only through `lr-replay` — single thread, no slots, no
-//! parking — and *requires* the replay to reproduce the recorded
-//! `MachineStats` byte-for-byte before reporting any number. The Mops
-//! column is replay sim-ops/s; the `CSVX` extras carry live sim-ops/s
-//! and the speedup, which isolates the rendezvous + scheduling share of
-//! live simulation cost (everything the replayer skips).
+//! Each cell records a live run with [`Machine::run_recorded`] (the
+//! workloads as in-thread coroutines), then replays the captured trace
+//! engine-only through `lr-replay` — no workload code — and *requires*
+//! the replay to reproduce the recorded `MachineStats` byte-for-byte
+//! before reporting any number. The Mops column is replay sim-ops/s;
+//! the `CSVX` extras carry live sim-ops/s and the speedup. Live and
+//! replay share one engine path, so the speedup sits near 1×: replay
+//! trades the workload code for trace decoding and per-reply checks.
 //!
-//! Two series bracket the replayer's advantage:
+//! Two series bracket the engine's share of the work:
 //!
-//! * `contended-faa` — maximal protocol work per op: replay advantage
-//!   is smallest because the engine dominates either way.
-//! * `lease-churn` — private lease/write/release loops: almost pure
-//!   handoff cost live, so replay's advantage is largest.
+//! * `contended-faa` — maximal protocol work per op: the engine
+//!   dominates either way.
+//! * `lease-churn` — private lease/write/release loops: the least
+//!   engine work per op, so the workload-vs-replay overhead shows most.
 
 use crate::harness::BenchRow;
 use crate::scenario::{CellCtx, CellOut, Scenario, ScenarioKind};
-use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use lr_replay::{replay, ReplayOutcome};
 use std::time::Instant;
 
@@ -35,11 +35,11 @@ pub static SCENARIO: Scenario = Scenario {
     run_cell,
     annotate: None,
     footer: Some(
-        "Wall-clock replay speed vs the live lockstep run (host-dependent).\n\
-         Replay feeds the recorded op stream back into the engine from one\n\
-         thread (no rendezvous, no parked workers) and must reproduce the\n\
-         recorded MachineStats byte-for-byte; the speedup is the live run's\n\
-         handoff + host-scheduling share.",
+        "Wall-clock replay speed vs the live run (host-dependent).\n\
+         Replay feeds the recorded op stream back into the engine (no\n\
+         workload code) and must reproduce the recorded MachineStats\n\
+         byte-for-byte; live and replay share one engine path, so the\n\
+         speedup is expected near 1x.",
     ),
 };
 
@@ -59,21 +59,21 @@ fn programs(series: usize, threads: usize, ops: u64, lines: &[lr_machine::Addr])
     (0..threads)
         .map(|tid| {
             let own = lines[tid];
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 if series == 0 {
                     for _ in 0..ops {
-                        ctx.faa(shared, 1);
+                        ctx.faa(shared, 1).await;
                         ctx.count_op();
                     }
                 } else {
                     for i in 0..ops / 3 {
-                        ctx.lease_max(own);
-                        ctx.write(own, i);
-                        ctx.release(own);
+                        ctx.lease_max(own).await;
+                        ctx.write(own, i).await;
+                        ctx.release(own).await;
                         ctx.count_op();
                     }
                 }
-            }) as ThreadFn
+            })
         })
         .collect()
 }

@@ -97,16 +97,6 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Cap the sim-cell worker count so `jobs × engine shards` never
-/// oversubscribes the host. With `LR_ENGINE_SHARDS=N`, every cell's
-/// machine drives its partitions on N host threads of its own, so J
-/// concurrent cells occupy J×N threads: clamp J to `host / N` (at
-/// least 1). Pure — the caller supplies the shard count and host
-/// parallelism.
-pub fn clamp_jobs(jobs: usize, shards: usize, host: usize) -> usize {
-    jobs.min((host / shards.max(1)).max(1)).max(1)
-}
-
 /// Parse `LR_MAX_THREADS` (the sweep cap) exactly once, at plan time —
 /// [`threads_sweep`] itself is pure.
 pub fn max_threads_from_env() -> usize {
@@ -174,19 +164,9 @@ pub fn build_plan(opts: &PlanOpts) -> Plan {
         .windows(2)
         .all(|w| !(w[0].scenario.kind != ScenarioKind::Sim
             && w[1].scenario.kind == ScenarioKind::Sim)));
-    let shards = lr_machine::engine_shards_from_env();
-    let jobs = clamp_jobs(opts.jobs.max(1), shards, host_cap);
-    if jobs < opts.jobs.max(1) {
-        eprintln!(
-            "lr-bench: clamping --jobs {} to {jobs}: LR_ENGINE_SHARDS={shards} \
-             gives every cell {shards} engine threads and the host has \
-             {host_cap} (output is byte-identical for any job count)",
-            opts.jobs.max(1)
-        );
-    }
     Plan {
         cells,
-        jobs,
+        jobs: opts.jobs.max(1),
         json: opts.json.clone(),
         record_dir: opts.record_dir.clone(),
     }
@@ -426,19 +406,5 @@ mod tests {
     fn explicit_ops_override_beats_env_default() {
         let sc = scenarios::find("fig2_stack").unwrap();
         assert_eq!(resolve_ops(sc, Some(7)), 7);
-    }
-
-    #[test]
-    fn jobs_clamp_respects_host_parallelism_budget() {
-        // Single-partition engine: jobs pass through untouched.
-        assert_eq!(clamp_jobs(8, 1, 8), 8);
-        assert_eq!(clamp_jobs(3, 1, 8), 3);
-        // 4 engine threads per cell on an 8-way host: at most 2 cells.
-        assert_eq!(clamp_jobs(8, 4, 8), 2);
-        // More partitions than host threads: serialize, never zero.
-        assert_eq!(clamp_jobs(8, 16, 8), 1);
-        assert_eq!(clamp_jobs(1, 4, 8), 1);
-        // Degenerate inputs stay sane.
-        assert_eq!(clamp_jobs(0, 0, 0), 1);
     }
 }

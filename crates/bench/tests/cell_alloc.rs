@@ -18,7 +18,7 @@
 //! global, so a concurrently running test would perturb the count.
 
 use lr_bench::BenchRow;
-use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -52,12 +52,12 @@ fn cell_allocs(ops: u64) -> u64 {
     let shared = m.setup(|mem| mem.alloc_line_aligned(8));
     let progs: Vec<ThreadFn> = (0..2)
         .map(|_| {
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 for _ in 0..ops {
-                    ctx.faa(shared, 1);
+                    ctx.faa(shared, 1).await;
                     ctx.count_op();
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     let stats = m.run(progs);

@@ -2,8 +2,7 @@
 //! the `lr-bench` binary run with 1 vs 4 engine partitions over
 //! deterministic sim scenarios must emit byte-identical stdout (rows,
 //! CSVX extras, everything). Subprocess-driven so the environment knob
-//! takes its real path through `engine_shards_from_env` and the sweep's
-//! oversubscription clamp.
+//! takes its real path through `engine_shards_from_env`.
 
 use std::process::{Command, Output};
 
@@ -37,34 +36,5 @@ fn engine_shards_env_is_byte_invisible_in_sim_output() {
         String::from_utf8_lossy(&s1.stdout),
         String::from_utf8_lossy(&s4.stdout),
         "LR_ENGINE_SHARDS leaked into simulated output"
-    );
-}
-
-/// `--jobs J` with `LR_ENGINE_SHARDS=N` is clamped so J×N never
-/// exceeds host parallelism — with a warning naming both numbers.
-#[test]
-fn oversubscribing_jobs_are_clamped_with_warning() {
-    let out = bench(
-        "1000",
-        &[
-            "--scenario",
-            "fig2_stack",
-            "--threads",
-            "2",
-            "--ops",
-            "4",
-            "--jobs",
-            "64",
-        ],
-    );
-    assert!(out.status.success(), "clamped run failed: {out:?}");
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("clamping --jobs 64 to 1"),
-        "missing/incorrect clamp warning:\n{err}"
-    );
-    assert!(
-        err.contains("1 job(s)"),
-        "plan banner should show the clamped job count:\n{err}"
     );
 }

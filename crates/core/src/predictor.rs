@@ -92,13 +92,13 @@ impl LeasePredictor {
     }
 }
 
-/// Worker-side helper pairing the predictor with the lease instructions.
+/// Workload-side helper pairing the predictor with the lease instructions.
 ///
 /// ```ignore
 /// let mut al = AdaptiveLease::default();
-/// let took = al.lease(ctx, SITE_PUSH, head, time);
+/// let took = al.lease(ctx, SITE_PUSH, head, time).await;
 /// /* ... read-CAS ... */
-/// al.release(ctx, SITE_PUSH, head, took);
+/// al.release(ctx, SITE_PUSH, head, took).await;
 /// ```
 #[derive(Debug, Default)]
 pub struct AdaptiveLease {
@@ -115,7 +115,7 @@ impl AdaptiveLease {
 
     /// Take the lease unless the predictor suppressed this site.
     /// Returns whether the lease was actually taken.
-    pub fn lease<T: LeaseOps + ?Sized>(
+    pub async fn lease<T: LeaseOps + ?Sized>(
         &mut self,
         ops: &mut T,
         site: u64,
@@ -123,7 +123,7 @@ impl AdaptiveLease {
         time: Cycle,
     ) -> bool {
         if self.predictor.should_lease(site) {
-            ops.lease(addr, time);
+            ops.lease(addr, time).await;
             true
         } else {
             false
@@ -131,7 +131,7 @@ impl AdaptiveLease {
     }
 
     /// Release (if `taken`) and feed the outcome back to the predictor.
-    pub fn release<T: LeaseOps + ?Sized>(
+    pub async fn release<T: LeaseOps + ?Sized>(
         &mut self,
         ops: &mut T,
         site: u64,
@@ -139,7 +139,7 @@ impl AdaptiveLease {
         taken: bool,
     ) {
         if taken {
-            let voluntary = ops.release(addr);
+            let voluntary = ops.release(addr).await;
             self.predictor.record(site, voluntary);
         }
     }

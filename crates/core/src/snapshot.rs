@@ -11,14 +11,19 @@
 use lr_sim_core::{Addr, Cycle};
 
 /// The subset of the simulated-instruction API the snapshot needs.
+///
+/// The methods are `async` because simulated instructions suspend the
+/// workload until the engine replies. Their futures are polled on the
+/// engine's own thread and never need to be `Send`.
+#[allow(async_fn_in_trait)]
 pub trait LeaseOps {
     /// Lease the line containing `addr` for `time` cycles.
-    fn lease(&mut self, addr: Addr, time: Cycle);
+    async fn lease(&mut self, addr: Addr, time: Cycle);
     /// Release the line containing `addr`; returns `true` iff the release
     /// was voluntary (the lease was still held).
-    fn release(&mut self, addr: Addr) -> bool;
+    async fn release(&mut self, addr: Addr) -> bool;
     /// Read the word at `addr`.
-    fn read(&mut self, addr: Addr) -> u64;
+    async fn read(&mut self, addr: Addr) -> u64;
 }
 
 /// Attempt one lease-based snapshot of `addrs`.
@@ -28,7 +33,7 @@ pub trait LeaseOps {
 /// values form a consistent snapshot — and `None` if any lease expired,
 /// in which case the caller retries (possibly falling back to a
 /// double-collect after a bounded number of attempts).
-pub fn snapshot<T: LeaseOps + ?Sized>(
+pub async fn snapshot<T: LeaseOps + ?Sized>(
     ops: &mut T,
     addrs: &[Addr],
     time: Cycle,
@@ -38,14 +43,17 @@ pub fn snapshot<T: LeaseOps + ?Sized>(
     let mut sorted: Vec<Addr> = addrs.to_vec();
     sorted.sort_unstable();
     for &a in &sorted {
-        ops.lease(a, time);
+        ops.lease(a, time).await;
     }
     // Read in caller order.
-    let values: Vec<u64> = addrs.iter().map(|&a| ops.read(a)).collect();
+    let mut values = Vec::with_capacity(addrs.len());
+    for &a in addrs {
+        values.push(ops.read(a).await);
+    }
     // Release; all must be voluntary.
     let mut ok = true;
     for &a in &sorted {
-        ok &= ops.release(a);
+        ok &= ops.release(a).await;
     }
     ok.then_some(values)
 }
@@ -54,6 +62,17 @@ pub fn snapshot<T: LeaseOps + ?Sized>(
 mod tests {
     use super::*;
     use std::collections::HashMap;
+    use std::future::Future;
+    use std::task::{Context, Poll, Waker};
+
+    /// Run a future that never suspends (every `Toy` op is immediate).
+    fn block_on<F: Future>(f: F) -> F::Output {
+        let mut cx = Context::from_waker(Waker::noop());
+        match std::pin::pin!(f).poll(&mut cx) {
+            Poll::Ready(v) => v,
+            Poll::Pending => panic!("Toy ops never suspend"),
+        }
+    }
 
     /// A toy LeaseOps where specific leases can be made to expire.
     struct Toy {
@@ -75,14 +94,14 @@ mod tests {
     }
 
     impl LeaseOps for Toy {
-        fn lease(&mut self, addr: Addr, _time: Cycle) {
+        async fn lease(&mut self, addr: Addr, _time: Cycle) {
             self.lease_order.push(addr);
             self.leased.insert(addr.0, !self.expire.contains(&addr));
         }
-        fn release(&mut self, addr: Addr) -> bool {
+        async fn release(&mut self, addr: Addr) -> bool {
             self.leased.remove(&addr.0).unwrap_or(false)
         }
-        fn read(&mut self, addr: Addr) -> u64 {
+        async fn read(&mut self, addr: Addr) -> u64 {
             self.mem.get(&addr.0).copied().unwrap_or(0)
         }
     }
@@ -90,7 +109,7 @@ mod tests {
     #[test]
     fn all_voluntary_yields_snapshot() {
         let mut toy = Toy::new(&[(64, 7), (128, 9)], &[]);
-        let vals = snapshot(&mut toy, &[Addr(128), Addr(64)], 100);
+        let vals = block_on(snapshot(&mut toy, &[Addr(128), Addr(64)], 100));
         // Values come back in caller order.
         assert_eq!(vals, Some(vec![9, 7]));
         // Leases were taken in ascending (deadlock-free) order.
@@ -100,12 +119,15 @@ mod tests {
     #[test]
     fn involuntary_release_fails_snapshot() {
         let mut toy = Toy::new(&[(64, 7), (128, 9)], &[Addr(128)]);
-        assert_eq!(snapshot(&mut toy, &[Addr(64), Addr(128)], 100), None);
+        assert_eq!(
+            block_on(snapshot(&mut toy, &[Addr(64), Addr(128)], 100)),
+            None
+        );
     }
 
     #[test]
     fn empty_snapshot_is_trivially_consistent() {
         let mut toy = Toy::new(&[], &[]);
-        assert_eq!(snapshot(&mut toy, &[], 100), Some(vec![]));
+        assert_eq!(block_on(snapshot(&mut toy, &[], 100)), Some(vec![]));
     }
 }

@@ -40,32 +40,32 @@ impl Bst {
         }
     }
 
-    fn lock_node(&self, ctx: &mut ThreadCtx, n: Addr) {
+    async fn lock_node(&self, ctx: &mut ThreadCtx, n: Addr) {
         loop {
-            if ctx.read(n.offset(LOCK)) == 0 && ctx.xchg(n.offset(LOCK), 1) == 0 {
+            if ctx.read(n.offset(LOCK)).await == 0 && ctx.xchg(n.offset(LOCK), 1).await == 0 {
                 return;
             }
             ctx.work(16);
         }
     }
 
-    fn unlock_node(&self, ctx: &mut ThreadCtx, n: Addr) {
-        ctx.write(n.offset(LOCK), 0);
+    async fn unlock_node(&self, ctx: &mut ThreadCtx, n: Addr) {
+        ctx.write(n.offset(LOCK), 0).await;
     }
 
     /// Find `key`'s node, or the would-be parent and side.
     /// Returns `(node_or_null, parent, child_offset)`.
-    fn locate(&self, ctx: &mut ThreadCtx, key: u64) -> (u64, Addr, u64) {
+    async fn locate(&self, ctx: &mut ThreadCtx, key: u64) -> (u64, Addr, u64) {
         let mut parent = Addr::NULL;
         let mut link = self.root; // the cell holding the child pointer
         let mut side = 0;
         loop {
-            let cur = ctx.read(link);
+            let cur = ctx.read(link).await;
             if cur == 0 {
                 return (0, parent, side);
             }
             let node = Addr(cur);
-            let k = ctx.read(node.offset(KEY));
+            let k = ctx.read(node.offset(KEY)).await;
             if k == key {
                 return (cur, parent, side);
             }
@@ -76,68 +76,68 @@ impl Bst {
     }
 
     /// Insert `key`; false if present (and not logically deleted).
-    pub fn insert(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
+    pub async fn insert(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
         debug_assert!(key >= 1);
         loop {
-            let (found, parent, side) = self.locate(ctx, key);
+            let (found, parent, side) = self.locate(ctx, key).await;
             if found != 0 {
                 // Key node exists: resurrect it if logically deleted.
                 let node = Addr(found);
-                self.lock_node(ctx, node);
-                let was_deleted = ctx.read(node.offset(DELETED)) == 1;
+                self.lock_node(ctx, node).await;
+                let was_deleted = ctx.read(node.offset(DELETED)).await == 1;
                 if was_deleted {
-                    ctx.write(node.offset(DELETED), 0);
+                    ctx.write(node.offset(DELETED), 0).await;
                 }
-                self.unlock_node(ctx, node);
+                self.unlock_node(ctx, node).await;
                 return was_deleted;
             }
             // Link a fresh leaf under `parent` (or at the root).
-            let node = ctx.malloc_line(NODE_BYTES);
-            ctx.write(node.offset(KEY), key);
+            let node = ctx.malloc_line(NODE_BYTES).await;
+            ctx.write(node.offset(KEY), key).await;
             if parent.is_null() {
-                if ctx.cas(self.root, 0, node.0) {
+                if ctx.cas(self.root, 0, node.0).await {
                     return true;
                 }
-                ctx.free(node);
+                ctx.free(node).await;
                 continue;
             }
             let link = parent.offset(side);
-            self.lock_node(ctx, parent);
+            self.lock_node(ctx, parent).await;
             if self.leased {
-                ctx.lease_max(link);
+                ctx.lease_max(link).await;
             }
-            let ok = ctx.cas(link, 0, node.0);
+            let ok = ctx.cas(link, 0, node.0).await;
             if self.leased {
-                ctx.release(link);
+                ctx.release(link).await;
             }
-            self.unlock_node(ctx, parent);
+            self.unlock_node(ctx, parent).await;
             if ok {
                 return true;
             }
-            ctx.free(node);
+            ctx.free(node).await;
             // Someone linked a node here first: retry from the top.
         }
     }
 
     /// Logically remove `key`; false if absent.
-    pub fn remove(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
-        let (found, _, _) = self.locate(ctx, key);
+    pub async fn remove(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
+        let (found, _, _) = self.locate(ctx, key).await;
         if found == 0 {
             return false;
         }
         let node = Addr(found);
-        self.lock_node(ctx, node);
-        let was_live = ctx.read(node.offset(DELETED)) == 0;
+        self.lock_node(ctx, node).await;
+        let was_live = ctx.read(node.offset(DELETED)).await == 0;
         if was_live {
-            ctx.write(node.offset(DELETED), 1);
+            ctx.write(node.offset(DELETED), 1).await;
         }
-        self.unlock_node(ctx, node);
+        self.unlock_node(ctx, node).await;
         was_live
     }
 
     /// Is `key` present (and not logically deleted)?
-    pub fn contains(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
-        let (found, _, _) = self.locate(ctx, key);
-        found != 0 && ctx.read(Addr(found).offset(DELETED)) == 0
+    pub async fn contains(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
+        let (found, _, _) = self.locate(ctx, key).await;
+        found != 0 && ctx.read(Addr(found).offset(DELETED)).await == 0
     }
 }

@@ -55,22 +55,22 @@ impl StackApply {
 }
 
 impl CsApply for StackApply {
-    fn apply(&self, ctx: &mut ThreadCtx, op: u64, arg: u64) -> u64 {
+    async fn apply(&self, ctx: &mut ThreadCtx, op: u64, arg: u64) -> u64 {
         if op == STACK_PUSH {
-            let t = ctx.read(self.top);
+            let t = ctx.read(self.top).await;
             if t >= self.cap {
                 return 0; // full — rejected
             }
-            ctx.write(self.slots.offset(t * 8), arg);
-            ctx.write(self.top, t + 1);
+            ctx.write(self.slots.offset(t * 8), arg).await;
+            ctx.write(self.top, t + 1).await;
             1
         } else {
-            let t = ctx.read(self.top);
+            let t = ctx.read(self.top).await;
             if t == 0 {
                 return STACK_EMPTY;
             }
-            let v = ctx.read(self.slots.offset((t - 1) * 8));
-            ctx.write(self.top, t - 1);
+            let v = ctx.read(self.slots.offset((t - 1) * 8)).await;
+            ctx.write(self.top, t - 1).await;
             v
         }
     }
@@ -105,13 +105,13 @@ impl DelegatedStack {
     }
 
     /// Push under the lock; `false` if the stack was at capacity.
-    pub fn push(&self, ctx: &mut ThreadCtx, h: &mut DlockHandle, v: u64) -> bool {
-        self.lock.run(ctx, h, &self.apply, STACK_PUSH, v) == 1
+    pub async fn push(&self, ctx: &mut ThreadCtx, h: &mut DlockHandle, v: u64) -> bool {
+        self.lock.run(ctx, h, &self.apply, STACK_PUSH, v).await == 1
     }
 
     /// Pop under the lock; `None` when empty.
-    pub fn pop(&self, ctx: &mut ThreadCtx, h: &mut DlockHandle) -> Option<u64> {
-        match self.lock.run(ctx, h, &self.apply, STACK_POP, 0) {
+    pub async fn pop(&self, ctx: &mut ThreadCtx, h: &mut DlockHandle) -> Option<u64> {
+        match self.lock.run(ctx, h, &self.apply, STACK_POP, 0).await {
             STACK_EMPTY => None,
             v => Some(v),
         }
@@ -132,8 +132,8 @@ pub struct CounterApply {
 }
 
 impl CsApply for CounterApply {
-    fn apply(&self, ctx: &mut ThreadCtx, _op: u64, arg: u64) -> u64 {
-        ctx.faa(self.cell, arg)
+    async fn apply(&self, ctx: &mut ThreadCtx, _op: u64, arg: u64) -> u64 {
+        ctx.faa(self.cell, arg).await
     }
 }
 
@@ -159,8 +159,8 @@ impl DelegatedCounter {
     }
 
     /// Add `delta` under the lock, returning the pre-add value.
-    pub fn add(&self, ctx: &mut ThreadCtx, h: &mut DlockHandle, delta: u64) -> u64 {
-        self.lock.run(ctx, h, &self.apply, 0, delta)
+    pub async fn add(&self, ctx: &mut ThreadCtx, h: &mut DlockHandle, delta: u64) -> u64 {
+        self.lock.run(ctx, h, &self.apply, 0, delta).await
     }
 
     /// The counter cell (for host-side final-value checks).
@@ -172,7 +172,7 @@ impl DelegatedCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_machine::{Machine, SystemConfig, ThreadFn};
+    use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
     use lr_sync::DLOCK_ALGOS;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -187,12 +187,12 @@ mod tests {
             let progs: Vec<ThreadFn> = (0..threads)
                 .map(|tid| {
                     let c = c.clone();
-                    Box::new(move |ctx: &mut ThreadCtx| {
+                    program(async move |ctx: &mut ThreadCtx| {
                         let mut h = c.handle(tid);
                         for _ in 0..per {
-                            c.add(ctx, &mut h, 3);
+                            c.add(ctx, &mut h, 3).await;
                         }
-                    }) as ThreadFn
+                    })
                 })
                 .collect();
             let (_, mem) = m.run_with_memory(progs);
@@ -220,20 +220,20 @@ mod tests {
                 .map(|tid| {
                     let s = s.clone();
                     let (empties, rejected) = (empties.clone(), rejected.clone());
-                    Box::new(move |ctx: &mut ThreadCtx| {
+                    program(async move |ctx: &mut ThreadCtx| {
                         let mut h = s.handle(tid);
                         let (mut e, mut r) = (0u64, 0u64);
                         for i in 0..per {
-                            if !s.push(ctx, &mut h, i + 1) {
+                            if !s.push(ctx, &mut h, i + 1).await {
                                 r += 1;
                             }
-                            if s.pop(ctx, &mut h).is_none() {
+                            if s.pop(ctx, &mut h).await.is_none() {
                                 e += 1;
                             }
                         }
                         empties.fetch_add(e, Ordering::Relaxed);
                         rejected.fetch_add(r, Ordering::Relaxed);
-                    }) as ThreadFn
+                    })
                 })
                 .collect();
             let (_, mem) = m.run_with_memory(progs);

@@ -47,10 +47,10 @@ impl HarrisList {
 
     /// Harris search: returns `(left, right)` with `left.key < key ≤
     /// right.key`, unlinking any marked nodes in between.
-    fn search(&self, ctx: &mut ThreadCtx, key: u64) -> (Addr, u64) {
+    async fn search(&self, ctx: &mut ThreadCtx, key: u64) -> (Addr, u64) {
         'retry: loop {
             let mut left = self.head;
-            let mut left_next = ctx.read(self.head.offset(NEXT));
+            let mut left_next = ctx.read(self.head.offset(NEXT)).await;
             debug_assert!(!is_marked(left_next));
             let mut t = self.head;
             let mut t_next = left_next;
@@ -64,22 +64,22 @@ impl HarrisList {
                 if t.is_null() {
                     break;
                 }
-                t_next = ctx.read(t.offset(NEXT));
-                if !is_marked(t_next) && ctx.read(t.offset(KEY)) >= key {
+                t_next = ctx.read(t.offset(NEXT)).await;
+                if !is_marked(t_next) && ctx.read(t.offset(KEY)).await >= key {
                     break;
                 }
             }
             let right = t.0;
             if left_next == right {
                 // Adjacent: make sure right has not been marked meanwhile.
-                if right != 0 && is_marked(ctx.read(Addr(right).offset(NEXT))) {
+                if right != 0 && is_marked(ctx.read(Addr(right).offset(NEXT)).await) {
                     continue 'retry;
                 }
                 return (left, right);
             }
             // Snip out the marked chain between left and right.
-            if ctx.cas(left.offset(NEXT), left_next, right) {
-                if right != 0 && is_marked(ctx.read(Addr(right).offset(NEXT))) {
+            if ctx.cas(left.offset(NEXT), left_next, right).await {
+                if right != 0 && is_marked(ctx.read(Addr(right).offset(NEXT)).await) {
                     continue 'retry;
                 }
                 return (left, right);
@@ -88,23 +88,23 @@ impl HarrisList {
     }
 
     /// Insert `key`; false if already present.
-    pub fn insert(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
+    pub async fn insert(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
         debug_assert!(key >= 1);
-        let node = ctx.malloc_line(16);
-        ctx.write(node.offset(KEY), key);
+        let node = ctx.malloc_line(16).await;
+        ctx.write(node.offset(KEY), key).await;
         loop {
-            let (left, right) = self.search(ctx, key);
-            if right != 0 && ctx.read(Addr(right).offset(KEY)) == key {
-                ctx.free(node);
+            let (left, right) = self.search(ctx, key).await;
+            if right != 0 && ctx.read(Addr(right).offset(KEY)).await == key {
+                ctx.free(node).await;
                 return false;
             }
             if self.leased {
-                ctx.lease_max(left.offset(NEXT));
+                ctx.lease_max(left.offset(NEXT)).await;
             }
-            ctx.write(node.offset(NEXT), right);
-            let ok = ctx.cas(left.offset(NEXT), right, node.0);
+            ctx.write(node.offset(NEXT), right).await;
+            let ok = ctx.cas(left.offset(NEXT), right, node.0).await;
             if self.leased {
-                ctx.release(left.offset(NEXT));
+                ctx.release(left.offset(NEXT)).await;
             }
             if ok {
                 return true;
@@ -113,28 +113,30 @@ impl HarrisList {
     }
 
     /// Remove `key`; false if absent.
-    pub fn remove(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
+    pub async fn remove(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
         loop {
-            let (left, right) = self.search(ctx, key);
-            if right == 0 || ctx.read(Addr(right).offset(KEY)) != key {
+            let (left, right) = self.search(ctx, key).await;
+            if right == 0 || ctx.read(Addr(right).offset(KEY)).await != key {
                 return false;
             }
             let right = Addr(right);
-            let right_next = ctx.read(right.offset(NEXT));
+            let right_next = ctx.read(right.offset(NEXT)).await;
             if is_marked(right_next) {
                 continue;
             }
             if self.leased {
-                ctx.lease_max(right.offset(NEXT));
+                ctx.lease_max(right.offset(NEXT)).await;
             }
-            let ok = ctx.cas(right.offset(NEXT), right_next, right_next | MARK);
+            let ok = ctx
+                .cas(right.offset(NEXT), right_next, right_next | MARK)
+                .await;
             if self.leased {
-                ctx.release(right.offset(NEXT));
+                ctx.release(right.offset(NEXT)).await;
             }
             if ok {
                 // Try to unlink physically; search() cleans up otherwise.
-                if !ctx.cas(left.offset(NEXT), right.0, right_next) {
-                    let _ = self.search(ctx, key);
+                if !ctx.cas(left.offset(NEXT), right.0, right_next).await {
+                    let _ = self.search(ctx, key).await;
                 }
                 return true;
             }
@@ -142,15 +144,15 @@ impl HarrisList {
     }
 
     /// Is `key` in the set?
-    pub fn contains(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
-        let mut cur = ctx.read(self.head.offset(NEXT));
+    pub async fn contains(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
+        let mut cur = ctx.read(self.head.offset(NEXT)).await;
         loop {
             let node = Addr(unmarked(cur));
             if node.is_null() {
                 return false;
             }
-            let next = ctx.read(node.offset(NEXT));
-            let k = ctx.read(node.offset(KEY));
+            let next = ctx.read(node.offset(NEXT)).await;
+            let k = ctx.read(node.offset(KEY)).await;
             if k >= key {
                 return k == key && !is_marked(next);
             }

@@ -37,21 +37,22 @@ impl HashTable {
         self.buckets[(h % self.buckets.len() as u64) as usize]
     }
 
-    fn lock(&self, ctx: &mut ThreadCtx, b: Addr) {
+    async fn lock(&self, ctx: &mut ThreadCtx, b: Addr) {
         if self.leased {
             loop {
-                ctx.lease_max(b.offset(B_LOCK));
-                if ctx.xchg(b.offset(B_LOCK), 1) == 0 {
+                ctx.lease_max(b.offset(B_LOCK)).await;
+                if ctx.xchg(b.offset(B_LOCK), 1).await == 0 {
                     return;
                 }
-                ctx.release(b.offset(B_LOCK));
-                while ctx.read(b.offset(B_LOCK)) != 0 {
+                ctx.release(b.offset(B_LOCK)).await;
+                while ctx.read(b.offset(B_LOCK)).await != 0 {
                     ctx.work(16);
                 }
             }
         } else {
             loop {
-                if ctx.read(b.offset(B_LOCK)) == 0 && ctx.xchg(b.offset(B_LOCK), 1) == 0 {
+                if ctx.read(b.offset(B_LOCK)).await == 0 && ctx.xchg(b.offset(B_LOCK), 1).await == 0
+                {
                     return;
                 }
                 ctx.work(16);
@@ -59,53 +60,53 @@ impl HashTable {
         }
     }
 
-    fn unlock(&self, ctx: &mut ThreadCtx, b: Addr) {
-        ctx.write(b.offset(B_LOCK), 0);
+    async fn unlock(&self, ctx: &mut ThreadCtx, b: Addr) {
+        ctx.write(b.offset(B_LOCK), 0).await;
         if self.leased {
-            ctx.release(b.offset(B_LOCK));
+            ctx.release(b.offset(B_LOCK)).await;
         }
     }
 
     /// Insert `key`; false if already present.
-    pub fn insert(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
+    pub async fn insert(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
         debug_assert!(key >= 1);
         let b = self.bucket(key);
-        self.lock(ctx, b);
+        self.lock(ctx, b).await;
         // Sorted-chain walk.
         let mut prev = b.offset(B_HEAD);
-        let mut cur = ctx.read(prev);
+        let mut cur = ctx.read(prev).await;
         while cur != 0 {
-            let k = ctx.read(Addr(cur).offset(KEY));
+            let k = ctx.read(Addr(cur).offset(KEY)).await;
             if k == key {
-                self.unlock(ctx, b);
+                self.unlock(ctx, b).await;
                 return false;
             }
             if k > key {
                 break;
             }
             prev = Addr(cur).offset(NEXT);
-            cur = ctx.read(prev);
+            cur = ctx.read(prev).await;
         }
-        let node = ctx.malloc_line(16);
-        ctx.write(node.offset(KEY), key);
-        ctx.write(node.offset(NEXT), cur);
-        ctx.write(prev, node.0);
-        self.unlock(ctx, b);
+        let node = ctx.malloc_line(16).await;
+        ctx.write(node.offset(KEY), key).await;
+        ctx.write(node.offset(NEXT), cur).await;
+        ctx.write(prev, node.0).await;
+        self.unlock(ctx, b).await;
         true
     }
 
     /// Remove `key`; false if absent.
-    pub fn remove(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
+    pub async fn remove(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
         let b = self.bucket(key);
-        self.lock(ctx, b);
+        self.lock(ctx, b).await;
         let mut prev = b.offset(B_HEAD);
-        let mut cur = ctx.read(prev);
+        let mut cur = ctx.read(prev).await;
         while cur != 0 {
-            let k = ctx.read(Addr(cur).offset(KEY));
+            let k = ctx.read(Addr(cur).offset(KEY)).await;
             if k == key {
-                let next = ctx.read(Addr(cur).offset(NEXT));
-                ctx.write(prev, next);
-                self.unlock(ctx, b);
+                let next = ctx.read(Addr(cur).offset(NEXT)).await;
+                ctx.write(prev, next).await;
+                self.unlock(ctx, b).await;
                 // Unlinked nodes are not freed: `contains` reads chains
                 // without the bucket lock (no reclamation, as everywhere
                 // in the paper's evaluation).
@@ -115,25 +116,25 @@ impl HashTable {
                 break;
             }
             prev = Addr(cur).offset(NEXT);
-            cur = ctx.read(prev);
+            cur = ctx.read(prev).await;
         }
-        self.unlock(ctx, b);
+        self.unlock(ctx, b).await;
         false
     }
 
     /// Is `key` present? (Lock-free read of the sorted chain.)
-    pub fn contains(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
+    pub async fn contains(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
         let b = self.bucket(key);
-        let mut cur = ctx.read(b.offset(B_HEAD));
+        let mut cur = ctx.read(b.offset(B_HEAD)).await;
         while cur != 0 {
-            let k = ctx.read(Addr(cur).offset(KEY));
+            let k = ctx.read(Addr(cur).offset(KEY)).await;
             if k == key {
                 return true;
             }
             if k > key {
                 return false;
             }
-            cur = ctx.read(Addr(cur).offset(NEXT));
+            cur = ctx.read(Addr(cur).offset(NEXT)).await;
         }
         false
     }

@@ -48,32 +48,32 @@ impl MultiQueue {
         self.queues.len()
     }
 
-    fn try_lock(&self, ctx: &mut ThreadCtx, i: usize) -> bool {
-        ctx.read(self.locks[i]) == 0 && ctx.xchg(self.locks[i], 1) == 0
+    async fn try_lock(&self, ctx: &mut ThreadCtx, i: usize) -> bool {
+        ctx.read(self.locks[i]).await == 0 && ctx.xchg(self.locks[i], 1).await == 0
     }
 
-    fn unlock(&self, ctx: &mut ThreadCtx, i: usize) {
-        ctx.write(self.locks[i], 0);
+    async fn unlock(&self, ctx: &mut ThreadCtx, i: usize) {
+        ctx.write(self.locks[i], 0).await;
     }
 
     /// Algorithm 4 `INSERT`.
-    pub fn insert(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> usize {
+    pub async fn insert(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> usize {
         let m = self.queues.len();
         loop {
             let i = ctx.rng().gen_range(0..m);
             if self.variant == MqVariant::Leased {
-                ctx.lease_max(self.locks[i]);
+                ctx.lease_max(self.locks[i]).await;
             }
-            if self.try_lock(ctx, i) {
-                self.queues[i].insert(ctx, key, value); // sequential
-                self.unlock(ctx, i);
+            if self.try_lock(ctx, i).await {
+                self.queues[i].insert(ctx, key, value).await; // sequential
+                self.unlock(ctx, i).await;
                 if self.variant == MqVariant::Leased {
-                    ctx.release(self.locks[i]);
+                    ctx.release(self.locks[i]).await;
                 }
                 return i;
             }
             if self.variant == MqVariant::Leased {
-                ctx.release(self.locks[i]);
+                ctx.release(self.locks[i]).await;
             }
             ctx.work(32);
         }
@@ -81,7 +81,7 @@ impl MultiQueue {
 
     /// Algorithm 4 `DELETEMIN`: lock two random queues, pop the better
     /// minimum. Returns `None` only if the chosen queues were both empty.
-    pub fn delete_min(&self, ctx: &mut ThreadCtx) -> Option<(u64, u64)> {
+    pub async fn delete_min(&self, ctx: &mut ThreadCtx) -> Option<(u64, u64)> {
         let m = self.queues.len();
         loop {
             let i = ctx.rng().gen_range(0..m);
@@ -90,48 +90,51 @@ impl MultiQueue {
                 continue;
             }
             if self.variant == MqVariant::Leased {
-                ctx.multi_lease(&[self.locks[i], self.locks[k]], ctx.max_lease_time());
+                ctx.multi_lease(&[self.locks[i], self.locks[k]], ctx.max_lease_time())
+                    .await;
             }
-            if self.try_lock(ctx, i) {
-                if self.try_lock(ctx, k) {
+            if self.try_lock(ctx, i).await {
+                if self.try_lock(ctx, k).await {
                     // Compare the two minima; `best` wins.
-                    let (best, other) =
-                        match (self.queues[i].peek_min(ctx), self.queues[k].peek_min(ctx)) {
-                            (None, None) => {
-                                self.unlock(ctx, k);
-                                self.unlock(ctx, i);
-                                if self.variant == MqVariant::Leased {
-                                    ctx.release_all();
-                                }
-                                return None;
+                    let (best, other) = match (
+                        self.queues[i].peek_min(ctx).await,
+                        self.queues[k].peek_min(ctx).await,
+                    ) {
+                        (None, None) => {
+                            self.unlock(ctx, k).await;
+                            self.unlock(ctx, i).await;
+                            if self.variant == MqVariant::Leased {
+                                ctx.release_all().await;
                             }
-                            (Some(_), None) => (i, k),
-                            (None, Some(_)) => (k, i),
-                            (Some(a), Some(b)) => {
-                                if a <= b {
-                                    (i, k)
-                                } else {
-                                    (k, i)
-                                }
+                            return None;
+                        }
+                        (Some(_), None) => (i, k),
+                        (None, Some(_)) => (k, i),
+                        (Some(a), Some(b)) => {
+                            if a <= b {
+                                (i, k)
+                            } else {
+                                (k, i)
                             }
-                        };
+                        }
+                    };
                     // As soon as the comparison is done: unlock the loser
                     // and drop both leases (Algorithm 4 lines 13–14).
-                    self.unlock(ctx, other);
+                    self.unlock(ctx, other).await;
                     if self.variant == MqVariant::Leased {
-                        ctx.release_all();
+                        ctx.release_all().await;
                     }
-                    let rtn = self.queues[best].delete_min(ctx); // sequential
-                    self.unlock(ctx, best);
+                    let rtn = self.queues[best].delete_min(ctx).await; // sequential
+                    self.unlock(ctx, best).await;
                     return rtn;
                 }
                 // Failed to acquire the second lock.
-                self.unlock(ctx, i);
+                self.unlock(ctx, i).await;
                 if self.variant == MqVariant::Leased {
-                    ctx.release_all();
+                    ctx.release_all().await;
                 }
             } else if self.variant == MqVariant::Leased {
-                ctx.release_all();
+                ctx.release_all().await;
             }
             ctx.work(32);
         }

@@ -43,42 +43,42 @@ impl PriorityQueue {
 
     /// Insert `(key, value)`; smaller keys have higher priority.
     /// Keys must be ≥ 1.
-    pub fn insert(&self, ctx: &mut ThreadCtx, key: u64, value: u64) {
+    pub async fn insert(&self, ctx: &mut ThreadCtx, key: u64, value: u64) {
         match self {
             PriorityQueue::LotanShavit(sl) => {
                 // Unique-key set: perturb colliding keys.
                 let mut k = key;
-                while !sl.insert(ctx, k, value) {
+                while !sl.insert(ctx, k, value).await {
                     k += 1;
                 }
             }
             PriorityQueue::GlobalLock(lock, list) => {
-                lock.lock(ctx);
-                list.insert(ctx, key, value);
-                lock.unlock(ctx);
+                lock.lock(ctx).await;
+                list.insert(ctx, key, value).await;
+                lock.unlock(ctx).await;
             }
             PriorityQueue::GlobalLeasedLock(lock, list) => {
-                lock.lock(ctx);
-                list.insert(ctx, key, value);
-                lock.unlock(ctx);
+                lock.lock(ctx).await;
+                list.insert(ctx, key, value).await;
+                lock.unlock(ctx).await;
             }
         }
     }
 
     /// Remove and return the minimum `(key, value)`.
-    pub fn delete_min(&self, ctx: &mut ThreadCtx) -> Option<(u64, u64)> {
+    pub async fn delete_min(&self, ctx: &mut ThreadCtx) -> Option<(u64, u64)> {
         match self {
-            PriorityQueue::LotanShavit(sl) => sl.delete_min(ctx),
+            PriorityQueue::LotanShavit(sl) => sl.delete_min(ctx).await,
             PriorityQueue::GlobalLock(lock, list) => {
-                lock.lock(ctx);
-                let r = list.delete_min(ctx);
-                lock.unlock(ctx);
+                lock.lock(ctx).await;
+                let r = list.delete_min(ctx).await;
+                lock.unlock(ctx).await;
                 r
             }
             PriorityQueue::GlobalLeasedLock(lock, list) => {
-                lock.lock(ctx);
-                let r = list.delete_min(ctx);
-                lock.unlock(ctx);
+                lock.lock(ctx).await;
+                let r = list.delete_min(ctx).await;
+                lock.unlock(ctx).await;
                 r
             }
         }

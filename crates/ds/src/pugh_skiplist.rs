@@ -45,18 +45,18 @@ pub struct LockingSkipList {
     pub head: Addr,
 }
 
-fn try_lock(ctx: &mut ThreadCtx, node: Addr) -> bool {
-    ctx.read(node.offset(LOCK)) == 0 && ctx.xchg(node.offset(LOCK), 1) == 0
+async fn try_lock(ctx: &mut ThreadCtx, node: Addr) -> bool {
+    ctx.read(node.offset(LOCK)).await == 0 && ctx.xchg(node.offset(LOCK), 1).await == 0
 }
 
-fn lock(ctx: &mut ThreadCtx, node: Addr) {
-    while !try_lock(ctx, node) {
+async fn lock(ctx: &mut ThreadCtx, node: Addr) {
+    while !try_lock(ctx, node).await {
         ctx.work(24);
     }
 }
 
-fn unlock(ctx: &mut ThreadCtx, node: Addr) {
-    ctx.write(node.offset(LOCK), 0);
+async fn unlock(ctx: &mut ThreadCtx, node: Addr) {
+    ctx.write(node.offset(LOCK), 0).await;
 }
 
 impl LockingSkipList {
@@ -67,21 +67,25 @@ impl LockingSkipList {
         LockingSkipList { head }
     }
 
-    fn random_level(ctx: &mut ThreadCtx) -> usize {
+    async fn random_level(ctx: &mut ThreadCtx) -> usize {
         let r: u64 = ctx.rng().next_u64();
         ((r.trailing_ones() as usize) + 1).min(MAX_LEVEL_C)
     }
 
     /// Optimistic lock-free traversal: predecessors and successors of
     /// `key` at every level.
-    fn find(&self, ctx: &mut ThreadCtx, key: u64) -> ([Addr; MAX_LEVEL_C], [u64; MAX_LEVEL_C]) {
+    async fn find(
+        &self,
+        ctx: &mut ThreadCtx,
+        key: u64,
+    ) -> ([Addr; MAX_LEVEL_C], [u64; MAX_LEVEL_C]) {
         let mut preds = [self.head; MAX_LEVEL_C];
         let mut succs = [0u64; MAX_LEVEL_C];
         let mut cur = self.head;
         for lvl in (0..MAX_LEVEL_C).rev() {
             loop {
-                let nxt = ctx.read(cur.offset(next_off(lvl)));
-                if nxt != 0 && ctx.read(Addr(nxt).offset(KEY)) < key {
+                let nxt = ctx.read(cur.offset(next_off(lvl))).await;
+                if nxt != 0 && ctx.read(Addr(nxt).offset(KEY)).await < key {
                     cur = Addr(nxt);
                 } else {
                     preds[lvl] = cur;
@@ -96,13 +100,13 @@ impl LockingSkipList {
     /// Insert `(key, value)`; returns false if `key` is already present.
     /// Keys must be ≥ 1 (0 is the head sentinel key).
     #[allow(clippy::needless_range_loop)] // lvl indexes preds *and* succs
-    pub fn insert(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> bool {
+    pub async fn insert(&self, ctx: &mut ThreadCtx, key: u64, value: u64) -> bool {
         debug_assert!(key >= 1);
-        let top = Self::random_level(ctx);
+        let top = Self::random_level(ctx).await;
         loop {
-            let (preds, succs) = self.find(ctx, key);
-            if succs[0] != 0 && ctx.read(Addr(succs[0]).offset(KEY)) == key {
-                if ctx.read(Addr(succs[0]).offset(MARKED)) == 1 {
+            let (preds, succs) = self.find(ctx, key).await;
+            if succs[0] != 0 && ctx.read(Addr(succs[0]).offset(KEY)).await == key {
+                if ctx.read(Addr(succs[0]).offset(MARKED)).await == 1 {
                     // Being deleted: wait for it to leave, then retry.
                     ctx.work(32);
                     continue;
@@ -116,11 +120,11 @@ impl LockingSkipList {
             for lvl in 0..top {
                 let p = preds[lvl];
                 if locked.last() != Some(&p) && !locked.contains(&p) {
-                    lock(ctx, p);
+                    lock(ctx, p).await;
                     locked.push(p);
                 }
-                if ctx.read(p.offset(MARKED)) == 1
-                    || ctx.read(p.offset(next_off(lvl))) != succs[lvl]
+                if ctx.read(p.offset(MARKED)).await == 1
+                    || ctx.read(p.offset(next_off(lvl))).await != succs[lvl]
                 {
                     valid = false;
                     break;
@@ -128,68 +132,70 @@ impl LockingSkipList {
             }
             if !valid {
                 for p in locked {
-                    unlock(ctx, p);
+                    unlock(ctx, p).await;
                 }
                 continue;
             }
-            let node = ctx.malloc_line(NODE_BYTES);
-            ctx.write(node.offset(KEY), key);
-            ctx.write(node.offset(VALUE), value);
-            ctx.write(node.offset(LEVEL), top as u64);
+            let node = ctx.malloc_line(NODE_BYTES).await;
+            ctx.write(node.offset(KEY), key).await;
+            ctx.write(node.offset(VALUE), value).await;
+            ctx.write(node.offset(LEVEL), top as u64).await;
             for lvl in 0..top {
-                ctx.write(node.offset(next_off(lvl)), succs[lvl]);
+                ctx.write(node.offset(next_off(lvl)), succs[lvl]).await;
             }
             for lvl in 0..top {
-                ctx.write(preds[lvl].offset(next_off(lvl)), node.0);
+                ctx.write(preds[lvl].offset(next_off(lvl)), node.0).await;
             }
-            ctx.write(node.offset(LINKED), 1);
+            ctx.write(node.offset(LINKED), 1).await;
             for p in locked {
-                unlock(ctx, p);
+                unlock(ctx, p).await;
             }
             return true;
         }
     }
 
     /// Is `key` present (fully linked and not logically deleted)?
-    pub fn contains(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
-        let (_, succs) = self.find(ctx, key);
+    pub async fn contains(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
+        let (_, succs) = self.find(ctx, key).await;
         succs[0] != 0
-            && ctx.read(Addr(succs[0]).offset(KEY)) == key
-            && ctx.read(Addr(succs[0]).offset(LINKED)) == 1
-            && ctx.read(Addr(succs[0]).offset(MARKED)) == 0
+            && ctx.read(Addr(succs[0]).offset(KEY)).await == key
+            && ctx.read(Addr(succs[0]).offset(LINKED)).await == 1
+            && ctx.read(Addr(succs[0]).offset(MARKED)).await == 0
     }
 
     /// Physically unlink a marked victim under predecessor locks.
     #[allow(clippy::needless_range_loop)] // lvl indexes preds and node levels
-    fn remove_node(&self, ctx: &mut ThreadCtx, node: Addr, key: u64) {
-        let top = ctx.read(node.offset(LEVEL)) as usize;
+    async fn remove_node(&self, ctx: &mut ThreadCtx, node: Addr, key: u64) {
+        let top = ctx.read(node.offset(LEVEL)).await as usize;
         loop {
-            let (preds, _) = self.find(ctx, key);
+            let (preds, _) = self.find(ctx, key).await;
             let mut locked: Vec<Addr> = Vec::new();
             let mut valid = true;
             for lvl in 0..top {
                 let p = preds[lvl];
                 if locked.last() != Some(&p) && !locked.contains(&p) {
-                    lock(ctx, p);
+                    lock(ctx, p).await;
                     locked.push(p);
                 }
-                if ctx.read(p.offset(MARKED)) == 1 || ctx.read(p.offset(next_off(lvl))) != node.0 {
+                if ctx.read(p.offset(MARKED)).await == 1
+                    || ctx.read(p.offset(next_off(lvl))).await != node.0
+                {
                     valid = false;
                     break;
                 }
             }
             if valid {
                 for lvl in (0..top).rev() {
-                    let succ = ctx.read(node.offset(next_off(lvl)));
-                    ctx.write(preds[lvl].offset(next_off(lvl)), succ);
+                    let succ = ctx.read(node.offset(next_off(lvl))).await;
+                    ctx.write(preds[lvl].offset(next_off(lvl)), succ).await;
                 }
                 for p in locked {
-                    unlock(ctx, p);
+                    unlock(ctx, p).await;
                 }
                 return;
             }
             for p in locked {
-                unlock(ctx, p);
+                unlock(ctx, p).await;
             }
             ctx.work(32);
         }
@@ -197,28 +203,28 @@ impl LockingSkipList {
 
     /// Remove `key`; returns false if absent. (Set API for the
     /// low-contention experiment.)
-    pub fn remove(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
+    pub async fn remove(&self, ctx: &mut ThreadCtx, key: u64) -> bool {
         loop {
-            let (_, succs) = self.find(ctx, key);
-            if succs[0] == 0 || ctx.read(Addr(succs[0]).offset(KEY)) != key {
+            let (_, succs) = self.find(ctx, key).await;
+            if succs[0] == 0 || ctx.read(Addr(succs[0]).offset(KEY)).await != key {
                 return false;
             }
             let node = Addr(succs[0]);
-            if ctx.read(node.offset(LINKED)) != 1 {
+            if ctx.read(node.offset(LINKED)).await != 1 {
                 ctx.work(16);
                 continue;
             }
-            if !try_lock(ctx, node) {
+            if !try_lock(ctx, node).await {
                 ctx.work(16);
                 continue;
             }
-            if ctx.read(node.offset(MARKED)) == 1 {
-                unlock(ctx, node);
+            if ctx.read(node.offset(MARKED)).await == 1 {
+                unlock(ctx, node).await;
                 return false;
             }
-            ctx.write(node.offset(MARKED), 1);
-            unlock(ctx, node);
-            self.remove_node(ctx, node, key);
+            ctx.write(node.offset(MARKED), 1).await;
+            unlock(ctx, node).await;
+            self.remove_node(ctx, node, key).await;
             return true;
         }
     }
@@ -226,25 +232,25 @@ impl LockingSkipList {
     /// Lotan–Shavit `deleteMin`: mark the first live node at level 0 and
     /// physically remove it. Returns its `(key, value)`, or `None` if the
     /// queue looks empty.
-    pub fn delete_min(&self, ctx: &mut ThreadCtx) -> Option<(u64, u64)> {
-        let mut cur = ctx.read(self.head.offset(next_off(0)));
+    pub async fn delete_min(&self, ctx: &mut ThreadCtx) -> Option<(u64, u64)> {
+        let mut cur = ctx.read(self.head.offset(next_off(0))).await;
         while cur != 0 {
             let node = Addr(cur);
-            if ctx.read(node.offset(LINKED)) == 1
-                && ctx.read(node.offset(MARKED)) == 0
-                && try_lock(ctx, node)
+            if ctx.read(node.offset(LINKED)).await == 1
+                && ctx.read(node.offset(MARKED)).await == 0
+                && try_lock(ctx, node).await
             {
-                if ctx.read(node.offset(MARKED)) == 0 {
-                    ctx.write(node.offset(MARKED), 1);
-                    unlock(ctx, node);
-                    let key = ctx.read(node.offset(KEY));
-                    let value = ctx.read(node.offset(VALUE));
-                    self.remove_node(ctx, node, key);
+                if ctx.read(node.offset(MARKED)).await == 0 {
+                    ctx.write(node.offset(MARKED), 1).await;
+                    unlock(ctx, node).await;
+                    let key = ctx.read(node.offset(KEY)).await;
+                    let value = ctx.read(node.offset(VALUE)).await;
+                    self.remove_node(ctx, node, key).await;
                     return Some((key, value));
                 }
-                unlock(ctx, node);
+                unlock(ctx, node).await;
             }
-            cur = ctx.read(node.offset(next_off(0)));
+            cur = ctx.read(node.offset(next_off(0))).await;
         }
         None
     }

@@ -52,109 +52,110 @@ impl MsQueue {
         }
     }
 
-    fn new_node(ctx: &mut ThreadCtx, v: u64) -> Addr {
-        let n = ctx.malloc_line(16);
-        ctx.write(n.offset(VAL), v);
+    async fn new_node(ctx: &mut ThreadCtx, v: u64) -> Addr {
+        let n = ctx.malloc_line(16).await;
+        ctx.write(n.offset(VAL), v).await;
         n
     }
 
     /// Enqueue `v` (Algorithm 3 left column).
-    pub fn enqueue(&self, ctx: &mut ThreadCtx, v: u64) {
-        let w = Self::new_node(ctx, v);
+    pub async fn enqueue(&self, ctx: &mut ThreadCtx, v: u64) {
+        let w = Self::new_node(ctx, v).await;
         match self.variant {
-            QueueVariant::MultiLeased => self.enqueue_multi(ctx, w),
-            _ => self.enqueue_single(ctx, w),
+            QueueVariant::MultiLeased => self.enqueue_multi(ctx, w).await,
+            _ => self.enqueue_single(ctx, w).await,
         }
     }
 
-    fn enqueue_single(&self, ctx: &mut ThreadCtx, w: Addr) {
+    async fn enqueue_single(&self, ctx: &mut ThreadCtx, w: Addr) {
         let leased = self.variant == QueueVariant::Leased;
         loop {
             if leased {
-                ctx.lease_max(self.tail);
+                ctx.lease_max(self.tail).await;
             }
-            let t = ctx.read(self.tail);
-            let n = ctx.read(Addr(t).offset(NEXT));
-            if t == ctx.read(self.tail) {
+            let t = ctx.read(self.tail).await;
+            let n = ctx.read(Addr(t).offset(NEXT)).await;
+            if t == ctx.read(self.tail).await {
                 if n == 0 {
                     // tail points to the last node: try to link w.
-                    if ctx.cas(Addr(t).offset(NEXT), 0, w.0) {
-                        ctx.cas(self.tail, t, w.0); // swing tail
+                    if ctx.cas(Addr(t).offset(NEXT), 0, w.0).await {
+                        ctx.cas(self.tail, t, w.0).await; // swing tail
                         if leased {
-                            ctx.release(self.tail);
+                            ctx.release(self.tail).await;
                         }
                         return;
                     }
                 } else {
                     // tail fell behind: help swing it.
-                    ctx.cas(self.tail, t, n);
+                    ctx.cas(self.tail, t, n).await;
                 }
             }
             if leased {
-                ctx.release(self.tail);
+                ctx.release(self.tail).await;
             }
         }
     }
 
-    fn enqueue_multi(&self, ctx: &mut ThreadCtx, w: Addr) {
+    async fn enqueue_multi(&self, ctx: &mut ThreadCtx, w: Addr) {
         loop {
             // Read tail without a lease to learn the last node, then
             // jointly lease the tail pointer and that node's next field.
-            let t = ctx.read(self.tail);
+            let t = ctx.read(self.tail).await;
             let next_field = Addr(t).offset(NEXT);
-            ctx.multi_lease(&[self.tail, next_field], ctx.max_lease_time());
-            if ctx.read(self.tail) != t {
+            ctx.multi_lease(&[self.tail, next_field], ctx.max_lease_time())
+                .await;
+            if ctx.read(self.tail).await != t {
                 // The tail moved while we leased: retry with fresh lines.
-                ctx.release_all();
+                ctx.release_all().await;
                 continue;
             }
-            let n = ctx.read(next_field);
+            let n = ctx.read(next_field).await;
             if n == 0 {
-                if ctx.cas(next_field, 0, w.0) {
-                    ctx.cas(self.tail, t, w.0);
-                    ctx.release_all();
+                if ctx.cas(next_field, 0, w.0).await {
+                    ctx.cas(self.tail, t, w.0).await;
+                    ctx.release_all().await;
                     return;
                 }
             } else {
-                ctx.cas(self.tail, t, n);
+                ctx.cas(self.tail, t, n).await;
             }
-            ctx.release_all();
+            ctx.release_all().await;
         }
     }
 
     /// Dequeue (Algorithm 3 right column); `None` when empty.
-    pub fn dequeue(&self, ctx: &mut ThreadCtx) -> Option<u64> {
+    pub async fn dequeue(&self, ctx: &mut ThreadCtx) -> Option<u64> {
         let leased = self.variant != QueueVariant::Base;
         loop {
             if leased {
-                ctx.lease_max(self.head);
+                ctx.lease_max(self.head).await;
             }
-            let h = ctx.read(self.head);
-            let t = ctx.read(self.tail);
-            let n = ctx.read(Addr(h).offset(NEXT));
-            if h == ctx.read(self.head) {
+            let h = ctx.read(self.head).await;
+            let t = ctx.read(self.tail).await;
+            let n = ctx.read(Addr(h).offset(NEXT)).await;
+            if h == ctx.read(self.head).await {
                 // are pointers consistent?
                 if h == t {
                     if n == 0 {
                         if leased {
-                            ctx.release(self.head);
+                            ctx.release(self.head).await;
                         }
                         return None; // empty
                     }
                     // tail fell behind, update it.
-                    ctx.cas(self.tail, t, n);
+                    ctx.cas(self.tail, t, n).await;
                 } else {
-                    let ret = ctx.read(Addr(n).offset(VAL));
-                    if ctx.cas(self.head, h, n) {
+                    let ret = ctx.read(Addr(n).offset(VAL)).await;
+                    if ctx.cas(self.head, h, n).await {
                         if leased {
-                            ctx.release(self.head);
+                            ctx.release(self.head).await;
                         }
                         return Some(ret);
                     }
                 }
             }
             if leased {
-                ctx.release(self.head);
+                ctx.release(self.head).await;
             }
         }
     }

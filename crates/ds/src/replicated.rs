@@ -193,52 +193,52 @@ impl<A: CsApply> Replicated<A> {
     /// the socket's combiner lock, append the socket batch to the
     /// shared log, and replay the log into the local replica. Returns
     /// the operation's response word.
-    pub fn run(&self, ctx: &mut ThreadCtx, h: &mut ReplHandle, op: u64, arg: u64) -> u64 {
+    pub async fn run(&self, ctx: &mut ThreadCtx, h: &mut ReplHandle, op: u64, arg: u64) -> u64 {
         let s = h.tid / self.tps;
         let rec = self.recs[h.tid];
-        ctx.write(rec.offset(REC_OP), op);
-        ctx.write(rec.offset(REC_ARG), arg);
-        ctx.write(rec.offset(REC_REQ), 1);
+        ctx.write(rec.offset(REC_OP), op).await;
+        ctx.write(rec.offset(REC_ARG), arg).await;
+        ctx.write(rec.offset(REC_REQ), 1).await;
         let lockw = self.combiner[s];
         loop {
-            if ctx.read(rec.offset(REC_REQ)) == 2 {
-                let resp = ctx.read(rec.offset(REC_RESP));
-                ctx.write(rec.offset(REC_REQ), 0);
+            if ctx.read(rec.offset(REC_REQ)).await == 2 {
+                let resp = ctx.read(rec.offset(REC_RESP)).await;
+                ctx.write(rec.offset(REC_REQ), 0).await;
                 return resp;
             }
             let won = if self.lease {
-                ctx.lease_max(lockw);
-                if ctx.xchg(lockw, 1) == 0 {
+                ctx.lease_max(lockw).await;
+                if ctx.xchg(lockw, 1).await == 0 {
                     true
                 } else {
                     // Contended: drop the lease at once (the §6 rule).
-                    ctx.release(lockw);
+                    ctx.release(lockw).await;
                     false
                 }
             } else {
-                ctx.read(lockw) == 0 && ctx.xchg(lockw, 1) == 0
+                ctx.read(lockw).await == 0 && ctx.xchg(lockw, 1).await == 0
             };
             if won {
-                if ctx.read(rec.offset(REC_REQ)) == 2 {
+                if ctx.read(rec.offset(REC_REQ)).await == 2 {
                     // Served while we contended for the combiner word:
                     // hand the lock straight back.
-                    ctx.write(lockw, 0);
+                    ctx.write(lockw, 0).await;
                     if self.lease {
-                        ctx.release(lockw);
+                        ctx.release(lockw).await;
                     }
-                    let resp = ctx.read(rec.offset(REC_RESP));
-                    ctx.write(rec.offset(REC_REQ), 0);
+                    let resp = ctx.read(rec.offset(REC_RESP)).await;
+                    ctx.write(rec.offset(REC_REQ), 0).await;
                     return resp;
                 }
                 h.combines += 1;
-                h.appended += self.combine(ctx, s);
-                ctx.write(lockw, 0);
+                h.appended += self.combine(ctx, s).await;
+                ctx.write(lockw, 0).await;
                 if self.lease {
-                    ctx.release(lockw);
+                    ctx.release(lockw).await;
                 }
                 // Our own record was pending, so the batch served it.
-                let resp = ctx.read(rec.offset(REC_RESP));
-                ctx.write(rec.offset(REC_REQ), 0);
+                let resp = ctx.read(rec.offset(REC_RESP)).await;
+                ctx.write(rec.offset(REC_REQ), 0).await;
                 return resp;
             }
             ctx.work(SPIN_WORK);
@@ -250,30 +250,30 @@ impl<A: CsApply> Replicated<A> {
     /// tail reservation, replay the log into the replica through the
     /// end of the batch, and serve the batch's responses. Returns the
     /// batch size.
-    fn combine(&self, ctx: &mut ThreadCtx, s: usize) -> u64 {
+    async fn combine(&self, ctx: &mut ThreadCtx, s: usize) -> u64 {
         let lo = s * self.tps;
         let hi = ((s + 1) * self.tps).min(self.recs.len());
         let mut batch: Vec<(Addr, u64, u64)> = Vec::new();
         for &r in &self.recs[lo..hi] {
             if self.lease {
-                ctx.lease_max(r);
+                ctx.lease_max(r).await;
             }
-            if ctx.read(r.offset(REC_REQ)) == 1 {
-                let o = ctx.read(r.offset(REC_OP));
-                let a = ctx.read(r.offset(REC_ARG));
+            if ctx.read(r.offset(REC_REQ)).await == 1 {
+                let o = ctx.read(r.offset(REC_OP)).await;
+                let a = ctx.read(r.offset(REC_ARG)).await;
                 batch.push((r, o, a));
             }
             if self.lease {
-                ctx.release(r);
+                ctx.release(r).await;
             }
         }
         // The caller's own record was pending, so the batch is never
         // empty.
         let k = batch.len() as u64;
         if self.lease {
-            ctx.lease_max(self.tail);
+            ctx.lease_max(self.tail).await;
         }
-        let start = ctx.faa(self.tail, k);
+        let start = ctx.faa(self.tail, k).await;
         assert!(
             start + k <= self.log_cap,
             "replicated log exhausted ({start}+{k} > {})",
@@ -281,32 +281,32 @@ impl<A: CsApply> Replicated<A> {
         );
         for (i, &(_, o, a)) in batch.iter().enumerate() {
             let e = self.entry(start + i as u64);
-            ctx.write(e.offset(LOG_OP), o);
-            ctx.write(e.offset(LOG_ARG), a);
-            ctx.write(e.offset(LOG_READY), 1);
+            ctx.write(e.offset(LOG_OP), o).await;
+            ctx.write(e.offset(LOG_ARG), a).await;
+            ctx.write(e.offset(LOG_READY), 1).await;
         }
         if self.lease {
-            ctx.release(self.tail);
+            ctx.release(self.tail).await;
         }
         // Replay the log into the local replica up to the end of our
         // batch; positions inside the batch yield our responses.
-        let mut t = ctx.read(self.applied[s]);
+        let mut t = ctx.read(self.applied[s]).await;
         while t < start + k {
             let e = self.entry(t);
-            while ctx.read(e.offset(LOG_READY)) == 0 {
+            while ctx.read(e.offset(LOG_READY)).await == 0 {
                 ctx.work(SPIN_WORK);
             }
-            let o = ctx.read(e.offset(LOG_OP));
-            let a = ctx.read(e.offset(LOG_ARG));
-            let resp = self.replicas[s].apply(ctx, o, a);
+            let o = ctx.read(e.offset(LOG_OP)).await;
+            let a = ctx.read(e.offset(LOG_ARG)).await;
+            let resp = self.replicas[s].apply(ctx, o, a).await;
             if t >= start {
                 let (r, ..) = batch[(t - start) as usize];
-                ctx.write(r.offset(REC_RESP), resp);
-                ctx.write(r.offset(REC_REQ), 2);
+                ctx.write(r.offset(REC_RESP), resp).await;
+                ctx.write(r.offset(REC_REQ), 2).await;
             }
             t += 1;
         }
-        ctx.write(self.applied[s], t);
+        ctx.write(self.applied[s], t).await;
         k
     }
 }
@@ -323,8 +323,8 @@ pub struct CounterReplica {
 }
 
 impl CsApply for CounterReplica {
-    fn apply(&self, ctx: &mut ThreadCtx, _op: u64, arg: u64) -> u64 {
-        ctx.faa(self.cell, arg)
+    async fn apply(&self, ctx: &mut ThreadCtx, _op: u64, arg: u64) -> u64 {
+        ctx.faa(self.cell, arg).await
     }
 }
 
@@ -366,8 +366,8 @@ impl ReplicatedCounter {
     /// Add `delta` through the log, returning the pre-add value on this
     /// socket's replica (the linearized pre-add value: every replica
     /// applies the same log prefix).
-    pub fn add(&self, ctx: &mut ThreadCtx, h: &mut ReplHandle, delta: u64) -> u64 {
-        self.repl.run(ctx, h, 0, delta)
+    pub async fn add(&self, ctx: &mut ThreadCtx, h: &mut ReplHandle, delta: u64) -> u64 {
+        self.repl.run(ctx, h, 0, delta).await
     }
 
     /// Host-side linearized final value: the wrapping fold of every
@@ -462,7 +462,7 @@ impl KvReplica {
 }
 
 impl CsApply for KvReplica {
-    fn apply(&self, ctx: &mut ThreadCtx, op: u64, arg: u64) -> u64 {
+    async fn apply(&self, ctx: &mut ThreadCtx, op: u64, arg: u64) -> u64 {
         let key = op >> 8;
         let code = op & 0xff;
         debug_assert!(key != 0, "key 0 marks empty slots");
@@ -472,12 +472,12 @@ impl CsApply for KvReplica {
         // reached for absent keys.
         loop {
             let slot = self.slots.offset(i * 16);
-            let k = ctx.read(slot);
+            let k = ctx.read(slot).await;
             if k == key {
-                let old = ctx.read(slot.offset(8));
+                let old = ctx.read(slot.offset(8)).await;
                 match code {
-                    KV_PUT => ctx.write(slot.offset(8), arg),
-                    KV_ADD => ctx.write(slot.offset(8), old.wrapping_add(arg)),
+                    KV_PUT => ctx.write(slot.offset(8), arg).await,
+                    KV_ADD => ctx.write(slot.offset(8), old.wrapping_add(arg)).await,
                     _ => {}
                 }
                 return old;
@@ -486,8 +486,8 @@ impl CsApply for KvReplica {
                 if code != KV_GET {
                     // First insert of this key: replicas stay identical
                     // because every replica applies the same log order.
-                    ctx.write(slot, key);
-                    ctx.write(slot.offset(8), arg);
+                    ctx.write(slot, key).await;
+                    ctx.write(slot.offset(8), arg).await;
                 }
                 return KV_MISS;
             }
@@ -550,8 +550,8 @@ impl ReplicatedKv {
     /// `get(key)` through the log; [`KV_MISS`] when absent. Linearized
     /// with every mutation (the log orders it), at the cost of a log
     /// append per read.
-    pub fn get(&self, ctx: &mut ThreadCtx, h: &mut ReplHandle, key: u64) -> u64 {
-        self.repl.run(ctx, h, (key << 8) | KV_GET, 0)
+    pub async fn get(&self, ctx: &mut ThreadCtx, h: &mut ReplHandle, key: u64) -> u64 {
+        self.repl.run(ctx, h, (key << 8) | KV_GET, 0).await
     }
 
     /// Serve `get(key)` from the calling thread's **socket-local
@@ -560,20 +560,22 @@ impl ReplicatedKv {
     /// linearized: a replica may lag the log tail by the batches its
     /// socket has not yet applied. All traffic stays on lines homed in
     /// (and written only from) the reader's socket.
-    pub fn get_local(&self, ctx: &mut ThreadCtx, h: &ReplHandle, key: u64) -> u64 {
+    pub async fn get_local(&self, ctx: &mut ThreadCtx, h: &ReplHandle, key: u64) -> u64 {
         let s = h.tid / self.repl.tps;
-        self.repl.replicas[s].apply(ctx, (key << 8) | KV_GET, 0)
+        self.repl.replicas[s]
+            .apply(ctx, (key << 8) | KV_GET, 0)
+            .await
     }
 
     /// `put(key, value)` through the log; returns the previous value.
-    pub fn put(&self, ctx: &mut ThreadCtx, h: &mut ReplHandle, key: u64, value: u64) -> u64 {
-        self.repl.run(ctx, h, (key << 8) | KV_PUT, value)
+    pub async fn put(&self, ctx: &mut ThreadCtx, h: &mut ReplHandle, key: u64, value: u64) -> u64 {
+        self.repl.run(ctx, h, (key << 8) | KV_PUT, value).await
     }
 
     /// Wrapping `add(key, delta)` through the log; returns the previous
     /// value ([`KV_MISS`] on first touch, which inserts `delta`).
-    pub fn add(&self, ctx: &mut ThreadCtx, h: &mut ReplHandle, key: u64, delta: u64) -> u64 {
-        self.repl.run(ctx, h, (key << 8) | KV_ADD, delta)
+    pub async fn add(&self, ctx: &mut ThreadCtx, h: &mut ReplHandle, key: u64, delta: u64) -> u64 {
+        self.repl.run(ctx, h, (key << 8) | KV_ADD, delta).await
     }
 
     /// Host-side lookup on socket `s`'s replica (post-run checks).
@@ -642,7 +644,7 @@ impl ReplicatedKv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_machine::{Machine, SystemConfig, ThreadFn};
+    use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 
     fn numa_cfg(cores: usize, sockets: usize) -> SystemConfig {
         let mut cfg = SystemConfig::with_cores(cores);
@@ -663,12 +665,12 @@ mod tests {
                 let progs: Vec<ThreadFn> = (0..threads)
                     .map(|tid| {
                         let c = c.clone();
-                        Box::new(move |ctx: &mut ThreadCtx| {
+                        program(async move |ctx: &mut ThreadCtx| {
                             let mut h = c.handle(tid);
                             for _ in 0..per {
-                                c.add(ctx, &mut h, 3);
+                                c.add(ctx, &mut h, 3).await;
                             }
-                        }) as ThreadFn
+                        })
                     })
                     .collect();
                 let (stats, mem) = m.run_with_memory(progs);
@@ -703,18 +705,18 @@ mod tests {
         let progs: Vec<ThreadFn> = (0..threads)
             .map(|tid| {
                 let kv = kv.clone();
-                Box::new(move |ctx: &mut ThreadCtx| {
+                program(async move |ctx: &mut ThreadCtx| {
                     let mut h = kv.handle(tid);
                     for i in 0..per {
                         let key = 1 + (i + tid as u64) % 8;
                         if i % 2 == 0 {
-                            let old = kv.get(ctx, &mut h, key);
+                            let old = kv.get(ctx, &mut h, key).await;
                             assert_ne!(old, KV_MISS, "seeded key can never miss");
                         } else {
-                            kv.put(ctx, &mut h, key, tid as u64 * 1000 + i);
+                            kv.put(ctx, &mut h, key, tid as u64 * 1000 + i).await;
                         }
                     }
-                }) as ThreadFn
+                })
             })
             .collect();
         let (_, mem) = m.run_with_memory(progs);

@@ -38,19 +38,19 @@ impl SeqSkipList {
         SeqSkipList { head }
     }
 
-    fn random_level(ctx: &mut ThreadCtx) -> usize {
+    async fn random_level(ctx: &mut ThreadCtx) -> usize {
         let r: u64 = ctx.rng().next_u64();
         ((r.trailing_ones() as usize) + 1).min(MAX_LEVEL)
     }
 
     /// Insert `(key, value)`. Duplicate keys are allowed (kept adjacent).
-    pub fn insert(&self, ctx: &mut ThreadCtx, key: u64, value: u64) {
+    pub async fn insert(&self, ctx: &mut ThreadCtx, key: u64, value: u64) {
         let mut preds = [self.head; MAX_LEVEL];
         let mut cur = self.head;
         for lvl in (0..MAX_LEVEL).rev() {
             loop {
-                let nxt = ctx.read(cur.offset(next_off(lvl)));
-                if nxt != 0 && ctx.read(Addr(nxt).offset(KEY)) < key {
+                let nxt = ctx.read(cur.offset(next_off(lvl))).await;
+                if nxt != 0 && ctx.read(Addr(nxt).offset(KEY)).await < key {
                     cur = Addr(nxt);
                 } else {
                     break;
@@ -58,15 +58,15 @@ impl SeqSkipList {
             }
             preds[lvl] = cur;
         }
-        let level = Self::random_level(ctx);
-        let node = ctx.malloc_line(NODE_BYTES);
-        ctx.write(node.offset(KEY), key);
-        ctx.write(node.offset(VALUE), value);
-        ctx.write(node.offset(LEVEL), level as u64);
+        let level = Self::random_level(ctx).await;
+        let node = ctx.malloc_line(NODE_BYTES).await;
+        ctx.write(node.offset(KEY), key).await;
+        ctx.write(node.offset(VALUE), value).await;
+        ctx.write(node.offset(LEVEL), level as u64).await;
         for (lvl, pred) in preds.iter().enumerate().take(level) {
-            let succ = ctx.read(pred.offset(next_off(lvl)));
-            ctx.write(node.offset(next_off(lvl)), succ);
-            ctx.write(pred.offset(next_off(lvl)), node.0);
+            let succ = ctx.read(pred.offset(next_off(lvl))).await;
+            ctx.write(node.offset(next_off(lvl)), succ).await;
+            ctx.write(pred.offset(next_off(lvl)), node.0).await;
         }
     }
 
@@ -74,37 +74,37 @@ impl SeqSkipList {
     ///
     /// The minimum node is the first node of every level it occupies, so
     /// unlinking needs no predecessor search.
-    pub fn delete_min(&self, ctx: &mut ThreadCtx) -> Option<(u64, u64)> {
-        let first = ctx.read(self.head.offset(next_off(0)));
+    pub async fn delete_min(&self, ctx: &mut ThreadCtx) -> Option<(u64, u64)> {
+        let first = ctx.read(self.head.offset(next_off(0))).await;
         if first == 0 {
             return None;
         }
         let node = Addr(first);
-        let key = ctx.read(node.offset(KEY));
-        let value = ctx.read(node.offset(VALUE));
-        let level = ctx.read(node.offset(LEVEL)) as usize;
+        let key = ctx.read(node.offset(KEY)).await;
+        let value = ctx.read(node.offset(VALUE)).await;
+        let level = ctx.read(node.offset(LEVEL)).await as usize;
         for lvl in 0..level {
-            let head_next = ctx.read(self.head.offset(next_off(lvl)));
+            let head_next = ctx.read(self.head.offset(next_off(lvl))).await;
             if head_next == node.0 {
-                let succ = ctx.read(node.offset(next_off(lvl)));
-                ctx.write(self.head.offset(next_off(lvl)), succ);
+                let succ = ctx.read(node.offset(next_off(lvl))).await;
+                ctx.write(self.head.offset(next_off(lvl)), succ).await;
             }
         }
-        ctx.free(node);
+        ctx.free(node).await;
         Some((key, value))
     }
 
     /// Key of the current minimum without removing it.
-    pub fn peek_min(&self, ctx: &mut ThreadCtx) -> Option<u64> {
-        let first = ctx.read(self.head.offset(next_off(0)));
+    pub async fn peek_min(&self, ctx: &mut ThreadCtx) -> Option<u64> {
+        let first = ctx.read(self.head.offset(next_off(0))).await;
         if first == 0 {
             return None;
         }
-        Some(ctx.read(Addr(first).offset(KEY)))
+        Some(ctx.read(Addr(first).offset(KEY)).await)
     }
 
     /// Is the list empty?
-    pub fn is_empty(&self, ctx: &mut ThreadCtx) -> bool {
-        ctx.read(self.head.offset(next_off(0))) == 0
+    pub async fn is_empty(&self, ctx: &mut ThreadCtx) -> bool {
+        ctx.read(self.head.offset(next_off(0))).await == 0
     }
 }

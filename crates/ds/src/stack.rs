@@ -44,31 +44,31 @@ impl TreiberStack {
     }
 
     /// Allocate a node holding `v` (simulated-time cost: one malloc).
-    fn new_node(ctx: &mut ThreadCtx, v: u64) -> Addr {
-        let n = ctx.malloc_line(16);
-        ctx.write(n.offset(VAL), v);
+    async fn new_node(ctx: &mut ThreadCtx, v: u64) -> Addr {
+        let n = ctx.malloc_line(16).await;
+        ctx.write(n.offset(VAL), v).await;
         n
     }
 
     /// Push `v` (Figure 1 of the paper, with/without the lease).
-    pub fn push(&self, ctx: &mut ThreadCtx, v: u64) {
-        let node = Self::new_node(ctx, v);
+    pub async fn push(&self, ctx: &mut ThreadCtx, v: u64) {
+        let node = Self::new_node(ctx, v).await;
         let mut backoff = Backoff::contended();
         loop {
             if self.variant == StackVariant::Leased {
-                ctx.lease_max(self.head);
+                ctx.lease_max(self.head).await;
             }
-            let h = ctx.read(self.head);
-            ctx.write(node.offset(NEXT), h);
-            let ok = ctx.cas(self.head, h, node.0);
+            let h = ctx.read(self.head).await;
+            ctx.write(node.offset(NEXT), h).await;
+            let ok = ctx.cas(self.head, h, node.0).await;
             if self.variant == StackVariant::Leased {
-                ctx.release(self.head);
+                ctx.release(self.head).await;
             }
             if ok {
                 return;
             }
             if self.variant == StackVariant::Backoff {
-                backoff.wait(ctx);
+                backoff.wait(ctx).await;
             }
         }
     }
@@ -81,15 +81,20 @@ impl TreiberStack {
     /// Push with *adaptive* leasing (paper §5 "Speculative Execution"):
     /// the per-thread predictor suppresses the head lease if it keeps
     /// expiring involuntarily.
-    pub fn push_adaptive(&self, ctx: &mut ThreadCtx, al: &mut lr_lease::AdaptiveLease, v: u64) {
-        let node = Self::new_node(ctx, v);
+    pub async fn push_adaptive(
+        &self,
+        ctx: &mut ThreadCtx,
+        al: &mut lr_lease::AdaptiveLease,
+        v: u64,
+    ) {
+        let node = Self::new_node(ctx, v).await;
         loop {
             let time = ctx.max_lease_time();
-            let took = al.lease(ctx, Self::SITE_PUSH, self.head, time);
-            let h = ctx.read(self.head);
-            ctx.write(node.offset(NEXT), h);
-            let ok = ctx.cas(self.head, h, node.0);
-            al.release(ctx, Self::SITE_PUSH, self.head, took);
+            let took = al.lease(ctx, Self::SITE_PUSH, self.head, time).await;
+            let h = ctx.read(self.head).await;
+            ctx.write(node.offset(NEXT), h).await;
+            let ok = ctx.cas(self.head, h, node.0).await;
+            al.release(ctx, Self::SITE_PUSH, self.head, took).await;
             if ok {
                 return;
             }
@@ -97,52 +102,52 @@ impl TreiberStack {
     }
 
     /// Pop with adaptive leasing; see [`TreiberStack::push_adaptive`].
-    pub fn pop_adaptive(
+    pub async fn pop_adaptive(
         &self,
         ctx: &mut ThreadCtx,
         al: &mut lr_lease::AdaptiveLease,
     ) -> Option<u64> {
         loop {
             let time = ctx.max_lease_time();
-            let took = al.lease(ctx, Self::SITE_POP, self.head, time);
-            let h = ctx.read(self.head);
+            let took = al.lease(ctx, Self::SITE_POP, self.head, time).await;
+            let h = ctx.read(self.head).await;
             if h == 0 {
-                al.release(ctx, Self::SITE_POP, self.head, took);
+                al.release(ctx, Self::SITE_POP, self.head, took).await;
                 return None;
             }
-            let next = ctx.read(Addr(h).offset(NEXT));
-            let ok = ctx.cas(self.head, h, next);
-            al.release(ctx, Self::SITE_POP, self.head, took);
+            let next = ctx.read(Addr(h).offset(NEXT)).await;
+            let ok = ctx.cas(self.head, h, next).await;
+            al.release(ctx, Self::SITE_POP, self.head, took).await;
             if ok {
-                return Some(ctx.read(Addr(h).offset(VAL)));
+                return Some(ctx.read(Addr(h).offset(VAL)).await);
             }
         }
     }
 
     /// Pop, returning the value, or `None` if the stack is empty.
-    pub fn pop(&self, ctx: &mut ThreadCtx) -> Option<u64> {
+    pub async fn pop(&self, ctx: &mut ThreadCtx) -> Option<u64> {
         let mut backoff = Backoff::contended();
         loop {
             if self.variant == StackVariant::Leased {
-                ctx.lease_max(self.head);
+                ctx.lease_max(self.head).await;
             }
-            let h = ctx.read(self.head);
+            let h = ctx.read(self.head).await;
             if h == 0 {
                 if self.variant == StackVariant::Leased {
-                    ctx.release(self.head);
+                    ctx.release(self.head).await;
                 }
                 return None;
             }
-            let next = ctx.read(Addr(h).offset(NEXT));
-            let ok = ctx.cas(self.head, h, next);
+            let next = ctx.read(Addr(h).offset(NEXT)).await;
+            let ok = ctx.cas(self.head, h, next).await;
             if self.variant == StackVariant::Leased {
-                ctx.release(self.head);
+                ctx.release(self.head).await;
             }
             if ok {
-                return Some(ctx.read(Addr(h).offset(VAL)));
+                return Some(ctx.read(Addr(h).offset(VAL)).await);
             }
             if self.variant == StackVariant::Backoff {
-                backoff.wait(ctx);
+                backoff.wait(ctx).await;
             }
         }
     }

@@ -55,57 +55,57 @@ impl TwoLockQueue {
         }
     }
 
-    fn lock_tail(&self, ctx: &mut ThreadCtx) {
+    async fn lock_tail(&self, ctx: &mut ThreadCtx) {
         match self.variant {
-            TwoLockVariant::Base => self.tail_lock_tts.lock(ctx),
-            TwoLockVariant::Leased => self.tail_lock_leased.lock(ctx),
+            TwoLockVariant::Base => self.tail_lock_tts.lock(ctx).await,
+            TwoLockVariant::Leased => self.tail_lock_leased.lock(ctx).await,
         }
     }
 
-    fn unlock_tail(&self, ctx: &mut ThreadCtx) {
+    async fn unlock_tail(&self, ctx: &mut ThreadCtx) {
         match self.variant {
-            TwoLockVariant::Base => self.tail_lock_tts.unlock(ctx),
-            TwoLockVariant::Leased => self.tail_lock_leased.unlock(ctx),
+            TwoLockVariant::Base => self.tail_lock_tts.unlock(ctx).await,
+            TwoLockVariant::Leased => self.tail_lock_leased.unlock(ctx).await,
         }
     }
 
-    fn lock_head(&self, ctx: &mut ThreadCtx) {
+    async fn lock_head(&self, ctx: &mut ThreadCtx) {
         match self.variant {
-            TwoLockVariant::Base => self.head_lock_tts.lock(ctx),
-            TwoLockVariant::Leased => self.head_lock_leased.lock(ctx),
+            TwoLockVariant::Base => self.head_lock_tts.lock(ctx).await,
+            TwoLockVariant::Leased => self.head_lock_leased.lock(ctx).await,
         }
     }
 
-    fn unlock_head(&self, ctx: &mut ThreadCtx) {
+    async fn unlock_head(&self, ctx: &mut ThreadCtx) {
         match self.variant {
-            TwoLockVariant::Base => self.head_lock_tts.unlock(ctx),
-            TwoLockVariant::Leased => self.head_lock_leased.unlock(ctx),
+            TwoLockVariant::Base => self.head_lock_tts.unlock(ctx).await,
+            TwoLockVariant::Leased => self.head_lock_leased.unlock(ctx).await,
         }
     }
 
     /// Enqueue `v` under the tail lock.
-    pub fn enqueue(&self, ctx: &mut ThreadCtx, v: u64) {
-        let node = ctx.malloc_line(16);
-        ctx.write(node.offset(VAL), v);
-        self.lock_tail(ctx);
-        let t = ctx.read(self.tail);
-        ctx.write(Addr(t).offset(NEXT), node.0);
-        ctx.write(self.tail, node.0);
-        self.unlock_tail(ctx);
+    pub async fn enqueue(&self, ctx: &mut ThreadCtx, v: u64) {
+        let node = ctx.malloc_line(16).await;
+        ctx.write(node.offset(VAL), v).await;
+        self.lock_tail(ctx).await;
+        let t = ctx.read(self.tail).await;
+        ctx.write(Addr(t).offset(NEXT), node.0).await;
+        ctx.write(self.tail, node.0).await;
+        self.unlock_tail(ctx).await;
     }
 
     /// Dequeue under the head lock; `None` when empty.
-    pub fn dequeue(&self, ctx: &mut ThreadCtx) -> Option<u64> {
-        self.lock_head(ctx);
-        let h = ctx.read(self.head);
-        let next = ctx.read(Addr(h).offset(NEXT));
+    pub async fn dequeue(&self, ctx: &mut ThreadCtx) -> Option<u64> {
+        self.lock_head(ctx).await;
+        let h = ctx.read(self.head).await;
+        let next = ctx.read(Addr(h).offset(NEXT)).await;
         if next == 0 {
-            self.unlock_head(ctx);
+            self.unlock_head(ctx).await;
             return None;
         }
-        let v = ctx.read(Addr(next).offset(VAL));
-        ctx.write(self.head, next);
-        self.unlock_head(ctx);
+        let v = ctx.read(Addr(next).offset(VAL)).await;
+        ctx.write(self.head, next).await;
+        self.unlock_head(ctx).await;
         Some(v)
     }
 }

@@ -3,7 +3,7 @@
 //! schedules, driven by the in-tree [`SplitMix64`] generator.
 
 use lr_ds::*;
-use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sim_core::SplitMix64;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::{Arc, Mutex};
@@ -45,17 +45,17 @@ fn harris_list_matches_btreeset() {
         let results: Arc<Mutex<Vec<bool>>> = Arc::new(Mutex::new(Vec::new()));
         let r2 = results.clone();
         let ops2 = ops.clone();
-        m.run(vec![Box::new(move |ctx: &mut ThreadCtx| {
+        m.run(vec![program(async move |ctx: &mut ThreadCtx| {
             let mut out = Vec::new();
             for op in &ops2 {
                 out.push(match *op {
-                    SetOp::Insert(k) => l.insert(ctx, k as u64),
-                    SetOp::Remove(k) => l.remove(ctx, k as u64),
-                    SetOp::Contains(k) => l.contains(ctx, k as u64),
+                    SetOp::Insert(k) => l.insert(ctx, k as u64).await,
+                    SetOp::Remove(k) => l.remove(ctx, k as u64).await,
+                    SetOp::Contains(k) => l.contains(ctx, k as u64).await,
                 });
             }
             r2.lock().unwrap().extend(out);
-        }) as ThreadFn]);
+        })]);
 
         let mut model = BTreeSet::new();
         let expected: Vec<bool> = ops
@@ -82,17 +82,17 @@ fn locking_skiplist_matches_btreeset() {
         let results: Arc<Mutex<Vec<bool>>> = Arc::new(Mutex::new(Vec::new()));
         let r2 = results.clone();
         let ops2 = ops.clone();
-        m.run(vec![Box::new(move |ctx: &mut ThreadCtx| {
+        m.run(vec![program(async move |ctx: &mut ThreadCtx| {
             let mut out = Vec::new();
             for op in &ops2 {
                 out.push(match *op {
-                    SetOp::Insert(k) => sl.insert(ctx, k as u64, k as u64),
-                    SetOp::Remove(k) => sl.remove(ctx, k as u64),
-                    SetOp::Contains(k) => sl.contains(ctx, k as u64),
+                    SetOp::Insert(k) => sl.insert(ctx, k as u64, k as u64).await,
+                    SetOp::Remove(k) => sl.remove(ctx, k as u64).await,
+                    SetOp::Contains(k) => sl.contains(ctx, k as u64).await,
                 });
             }
             r2.lock().unwrap().extend(out);
-        }) as ThreadFn]);
+        })]);
 
         let mut model = BTreeSet::new();
         let expected: Vec<bool> = ops
@@ -121,17 +121,17 @@ fn seq_skiplist_matches_heap() {
         let drained: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
         let d2 = drained.clone();
         let keys2 = keys.clone();
-        m.run(vec![Box::new(move |ctx: &mut ThreadCtx| {
+        m.run(vec![program(async move |ctx: &mut ThreadCtx| {
             for &k in &keys2 {
-                sl.insert(ctx, k, k + 7);
+                sl.insert(ctx, k, k + 7).await;
             }
             let mut out = Vec::new();
-            while let Some((k, v)) = sl.delete_min(ctx) {
+            while let Some((k, v)) = sl.delete_min(ctx).await {
                 assert_eq!(v, k + 7);
                 out.push(k);
             }
             d2.lock().unwrap().extend(out);
-        }) as ThreadFn]);
+        })]);
 
         let mut expected: BTreeMap<u64, usize> = BTreeMap::new();
         for k in keys {
@@ -168,17 +168,17 @@ fn stack_multiset_preserved() {
         let progs: Vec<ThreadFn> = (0..threads)
             .map(|tid| {
                 let popped = popped.clone();
-                Box::new(move |ctx: &mut ThreadCtx| {
+                program(async move |ctx: &mut ThreadCtx| {
                     let base = (tid as u64 + 1) * 100_000;
                     let mut got = Vec::new();
                     for i in 0..per {
-                        s.push(ctx, base + i);
-                        if let Some(v) = s.pop(ctx) {
+                        s.push(ctx, base + i).await;
+                        if let Some(v) = s.pop(ctx).await {
                             got.push(v);
                         }
                     }
                     popped.lock().unwrap().extend(got);
-                }) as ThreadFn
+                })
             })
             .collect();
         m.run(progs);

@@ -3,7 +3,7 @@
 //! multi-leased) gets the same semantic checks.
 
 use lr_ds::*;
-use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
@@ -22,17 +22,17 @@ fn stack_push_pop_all(variant: StackVariant) {
     let progs: Vec<ThreadFn> = (0..n)
         .map(|tid| {
             let popped = popped.clone();
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 let base = (tid as u64 + 1) * 1000;
                 let mut mine = Vec::new();
                 for i in 0..per {
-                    s.push(ctx, base + i);
-                    if let Some(v) = s.pop(ctx) {
+                    s.push(ctx, base + i).await;
+                    if let Some(v) = s.pop(ctx).await {
                         mine.push(v);
                     }
                 }
                 popped.lock().unwrap().extend(mine);
-            }) as ThreadFn
+            })
         })
         .collect();
     let stats = m.run(progs);
@@ -71,18 +71,18 @@ fn stack_leased_semantics() {
 fn stack_is_lifo_single_thread() {
     let mut m = Machine::new(cfg(1));
     let s = m.setup(|mem| TreiberStack::init(mem, StackVariant::Base));
-    m.run(vec![Box::new(move |ctx: &mut ThreadCtx| {
-        assert_eq!(s.pop(ctx), None);
-        s.push(ctx, 1);
-        s.push(ctx, 2);
-        s.push(ctx, 3);
-        assert_eq!(s.pop(ctx), Some(3));
-        assert_eq!(s.pop(ctx), Some(2));
-        s.push(ctx, 4);
-        assert_eq!(s.pop(ctx), Some(4));
-        assert_eq!(s.pop(ctx), Some(1));
-        assert_eq!(s.pop(ctx), None);
-    }) as ThreadFn]);
+    m.run(vec![program(async move |ctx: &mut ThreadCtx| {
+        assert_eq!(s.pop(ctx).await, None);
+        s.push(ctx, 1).await;
+        s.push(ctx, 2).await;
+        s.push(ctx, 3).await;
+        assert_eq!(s.pop(ctx).await, Some(3));
+        assert_eq!(s.pop(ctx).await, Some(2));
+        s.push(ctx, 4).await;
+        assert_eq!(s.pop(ctx).await, Some(4));
+        assert_eq!(s.pop(ctx).await, Some(1));
+        assert_eq!(s.pop(ctx).await, None);
+    })]);
 }
 
 #[test]
@@ -96,13 +96,13 @@ fn stack_adaptive_semantics_and_suppression() {
     let progs: Vec<ThreadFn> = (0..n)
         .map(|tid| {
             let popped = popped.clone();
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 let mut al = lr_lease::AdaptiveLease::default();
                 let base = (tid as u64 + 1) * 1000;
                 let mut mine = Vec::new();
                 for i in 0..per {
-                    s.push_adaptive(ctx, &mut al, base + i);
-                    if let Some(v) = s.pop_adaptive(ctx, &mut al) {
+                    s.push_adaptive(ctx, &mut al, base + i).await;
+                    if let Some(v) = s.pop_adaptive(ctx, &mut al).await {
                         mine.push(v);
                     }
                 }
@@ -111,7 +111,7 @@ fn stack_adaptive_semantics_and_suppression() {
                     "healthy site wrongly suppressed"
                 );
                 popped.lock().unwrap().extend(mine);
-            }) as ThreadFn
+            })
         })
         .collect();
     let stats = m.run(progs);
@@ -131,24 +131,24 @@ fn queue_fifo_per_producer(variant: QueueVariant) {
     let seen = Arc::new(Mutex::new(Vec::<u64>::new()));
     let mut progs: Vec<ThreadFn> = Vec::new();
     for tid in 0..producers {
-        progs.push(Box::new(move |ctx: &mut ThreadCtx| {
+        progs.push(program(async move |ctx: &mut ThreadCtx| {
             let base = (tid as u64 + 1) * 1000;
             for i in 0..per {
-                q.enqueue(ctx, base + i);
+                q.enqueue(ctx, base + i).await;
             }
         }));
     }
     let seen2 = seen.clone();
-    progs.push(Box::new(move |ctx: &mut ThreadCtx| {
+    progs.push(program(async move |ctx: &mut ThreadCtx| {
         let mut got = Vec::new();
         while got.len() < (producers as u64 * per) as usize {
-            if let Some(v) = q.dequeue(ctx) {
+            if let Some(v) = q.dequeue(ctx).await {
                 got.push(v);
             } else {
                 ctx.work(100);
             }
         }
-        assert_eq!(q.dequeue(ctx), None, "queue should now be empty");
+        assert_eq!(q.dequeue(ctx).await, None, "queue should now be empty");
         seen2.lock().unwrap().extend(got);
     }));
     m.run(progs);
@@ -193,24 +193,24 @@ fn two_lock_queue_fifo(variant: TwoLockVariant) {
     let seen = Arc::new(Mutex::new(Vec::<u64>::new()));
     let mut progs: Vec<ThreadFn> = Vec::new();
     for tid in 0..producers {
-        progs.push(Box::new(move |ctx: &mut ThreadCtx| {
+        progs.push(program(async move |ctx: &mut ThreadCtx| {
             let base = (tid as u64 + 1) * 1000;
             for i in 0..per {
-                q.enqueue(ctx, base + i);
+                q.enqueue(ctx, base + i).await;
             }
         }));
     }
     let seen2 = seen.clone();
-    progs.push(Box::new(move |ctx: &mut ThreadCtx| {
+    progs.push(program(async move |ctx: &mut ThreadCtx| {
         let mut got = Vec::new();
         while got.len() < (producers as u64 * per) as usize {
-            if let Some(v) = q.dequeue(ctx) {
+            if let Some(v) = q.dequeue(ctx).await {
                 got.push(v);
             } else {
                 ctx.work(100);
             }
         }
-        assert_eq!(q.dequeue(ctx), None);
+        assert_eq!(q.dequeue(ctx).await, None);
         seen2.lock().unwrap().extend(got);
     }));
     m.run(progs);
@@ -247,12 +247,12 @@ fn two_lock_queue_lease_reduces_traffic() {
         let q = m.setup(|mem| TwoLockQueue::init(mem, variant));
         let progs: Vec<ThreadFn> = (0..n)
             .map(|_| {
-                Box::new(move |ctx: &mut ThreadCtx| {
+                program(async move |ctx: &mut ThreadCtx| {
                     for i in 0..30 {
-                        q.enqueue(ctx, i + 1);
-                        q.dequeue(ctx);
+                        q.enqueue(ctx, i + 1).await;
+                        q.dequeue(ctx).await;
                     }
-                }) as ThreadFn
+                })
             })
             .collect();
         m.run(progs)
@@ -278,20 +278,20 @@ fn pq_drains_sorted(init: fn(&mut lr_sim_mem::SimMemory) -> PriorityQueue, cores
     let progs: Vec<ThreadFn> = (0..cores)
         .map(|tid| {
             let out = out.clone();
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 // Insert a private key range, then drain some.
                 let base = (tid as u64 + 1) * 10_000;
                 for i in 0..per {
-                    pq.insert(ctx, base + i * 7 + 1, tid as u64);
+                    pq.insert(ctx, base + i * 7 + 1, tid as u64).await;
                 }
                 let mut got = Vec::new();
                 for _ in 0..per / 2 {
-                    if let Some((k, _)) = pq.delete_min(ctx) {
+                    if let Some((k, _)) = pq.delete_min(ctx).await {
                         got.push(k);
                     }
                 }
                 out.lock().unwrap().extend(got);
-            }) as ThreadFn
+            })
         })
         .collect();
     m.run(progs);
@@ -321,19 +321,19 @@ fn pq_global_leased_concurrent_drain() {
 fn pq_global_leased_sorted_single_thread() {
     let mut m = Machine::new(cfg(1));
     let pq = m.setup(PriorityQueue::init_global_leased);
-    m.run(vec![Box::new(move |ctx: &mut ThreadCtx| {
+    m.run(vec![program(async move |ctx: &mut ThreadCtx| {
         for k in [5u64, 3, 9, 1, 7] {
-            pq.insert(ctx, k, 100 + k);
+            pq.insert(ctx, k, 100 + k).await;
         }
         let mut prev = 0;
         for _ in 0..5 {
-            let (k, v) = pq.delete_min(ctx).unwrap();
+            let (k, v) = pq.delete_min(ctx).await.unwrap();
             assert!(k > prev, "not sorted: {k} after {prev}");
             assert_eq!(v, 100 + k);
             prev = k;
         }
-        assert!(pq.delete_min(ctx).is_none());
-    }) as ThreadFn]);
+        assert!(pq.delete_min(ctx).await.is_none());
+    })]);
 }
 
 // ----------------------------------------------------------- multiqueue
@@ -348,17 +348,17 @@ fn multiqueue_roundtrip(variant: MqVariant) {
         .map(|tid| {
             let mq = mq.clone();
             let out = out.clone();
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 let base = (tid as u64 + 1) * 1000;
                 let mut got = Vec::new();
                 for i in 0..per {
-                    mq.insert(ctx, base + i, tid as u64);
-                    if let Some((k, _)) = mq.delete_min(ctx) {
+                    mq.insert(ctx, base + i, tid as u64).await;
+                    if let Some((k, _)) = mq.delete_min(ctx).await {
                         got.push(k);
                     }
                 }
                 out.lock().unwrap().extend(got);
-            }) as ThreadFn
+            })
         })
         .collect();
     m.run(progs);
@@ -388,23 +388,23 @@ fn list_set_semantics(leased: bool) {
     let l = m.setup(|mem| HarrisList::init(mem, leased));
     let progs: Vec<ThreadFn> = (0..n)
         .map(|tid| {
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 // Private key stripe: operations must behave sequentially.
                 let base = (tid as u64) * 1_000 + 1;
                 for i in 0..20 {
-                    assert!(l.insert(ctx, base + i), "fresh insert failed");
-                    assert!(!l.insert(ctx, base + i), "duplicate insert succeeded");
-                    assert!(l.contains(ctx, base + i));
+                    assert!(l.insert(ctx, base + i).await, "fresh insert failed");
+                    assert!(!l.insert(ctx, base + i).await, "duplicate insert succeeded");
+                    assert!(l.contains(ctx, base + i).await);
                 }
                 for i in 0..10 {
-                    assert!(l.remove(ctx, base + i), "remove failed");
-                    assert!(!l.remove(ctx, base + i), "double remove succeeded");
-                    assert!(!l.contains(ctx, base + i));
+                    assert!(l.remove(ctx, base + i).await, "remove failed");
+                    assert!(!l.remove(ctx, base + i).await, "double remove succeeded");
+                    assert!(!l.contains(ctx, base + i).await);
                 }
                 for i in 10..20 {
-                    assert!(l.contains(ctx, base + i), "survivor vanished");
+                    assert!(l.contains(ctx, base + i).await, "survivor vanished");
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     m.run(progs);
@@ -429,17 +429,17 @@ fn harris_list_contended_same_keys() {
     let l = m.setup(|mem| HarrisList::init(mem, false));
     let progs: Vec<ThreadFn> = (0..n)
         .map(|_| {
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 for round in 0..15u64 {
                     let k = (round % 5) + 1;
                     if round % 2 == 0 {
-                        l.insert(ctx, k);
+                        l.insert(ctx, k).await;
                     } else {
-                        l.remove(ctx, k);
+                        l.remove(ctx, k).await;
                     }
-                    l.contains(ctx, k);
+                    l.contains(ctx, k).await;
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     m.run(progs);
@@ -452,21 +452,21 @@ fn harris_list_search_cleans_marked_chains() {
     // the gap must find its predecessor directly.
     let mut m = Machine::new(cfg(1));
     let l = m.setup(|mem| HarrisList::init(mem, false));
-    m.run(vec![Box::new(move |ctx: &mut ThreadCtx| {
+    m.run(vec![program(async move |ctx: &mut ThreadCtx| {
         for k in 1..=20u64 {
-            assert!(l.insert(ctx, k));
+            assert!(l.insert(ctx, k).await);
         }
         for k in 5..=15u64 {
-            assert!(l.remove(ctx, k));
+            assert!(l.remove(ctx, k).await);
         }
         // The survivors and only the survivors remain.
         for k in 1..=20u64 {
-            assert_eq!(l.contains(ctx, k), !(5..=15).contains(&k), "key {k}");
+            assert_eq!(l.contains(ctx, k).await, !(5..=15).contains(&k), "key {k}");
         }
         // Re-inserting a removed key works (fresh node, not resurrection).
-        assert!(l.insert(ctx, 10));
-        assert!(l.contains(ctx, 10));
-    }) as ThreadFn]);
+        assert!(l.insert(ctx, 10).await);
+        assert!(l.contains(ctx, 10).await);
+    })]);
 }
 
 // ------------------------------------------------------------ hashtable
@@ -478,18 +478,18 @@ fn hashtable_semantics(leased: bool) {
     let progs: Vec<ThreadFn> = (0..n)
         .map(|tid| {
             let h = h.clone();
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 let base = (tid as u64) * 1_000 + 1;
                 for i in 0..25 {
-                    assert!(h.insert(ctx, base + i));
-                    assert!(!h.insert(ctx, base + i));
-                    assert!(h.contains(ctx, base + i));
+                    assert!(h.insert(ctx, base + i).await);
+                    assert!(!h.insert(ctx, base + i).await);
+                    assert!(h.contains(ctx, base + i).await);
                 }
                 for i in 0..10 {
-                    assert!(h.remove(ctx, base + i));
-                    assert!(!h.contains(ctx, base + i));
+                    assert!(h.remove(ctx, base + i).await);
+                    assert!(!h.contains(ctx, base + i).await);
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     m.run(progs);
@@ -513,21 +513,21 @@ fn bst_semantics(leased: bool) {
     let t = m.setup(|mem| Bst::init(mem, leased));
     let progs: Vec<ThreadFn> = (0..n)
         .map(|tid| {
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 let base = (tid as u64) * 1_000 + 1;
                 for i in 0..25 {
                     // Scatter the keys so the tree is not a path.
                     let k = base + (i * 37) % 500;
-                    assert!(t.insert(ctx, k));
-                    assert!(!t.insert(ctx, k));
-                    assert!(t.contains(ctx, k));
+                    assert!(t.insert(ctx, k).await);
+                    assert!(!t.insert(ctx, k).await);
+                    assert!(t.contains(ctx, k).await);
                 }
                 let k = base + 37;
-                assert!(t.remove(ctx, k));
-                assert!(!t.contains(ctx, k));
-                assert!(t.insert(ctx, k), "resurrection after logical delete");
-                assert!(t.contains(ctx, k));
-            }) as ThreadFn
+                assert!(t.remove(ctx, k).await);
+                assert!(!t.contains(ctx, k).await);
+                assert!(t.insert(ctx, k).await, "resurrection after logical delete");
+                assert!(t.contains(ctx, k).await);
+            })
         })
         .collect();
     m.run(progs);
@@ -552,19 +552,19 @@ fn locking_skiplist_set_semantics() {
     let sl = m.setup(LockingSkipList::init);
     let progs: Vec<ThreadFn> = (0..n)
         .map(|tid| {
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 let base = (tid as u64) * 1_000 + 1;
                 for i in 0..20 {
-                    assert!(sl.insert(ctx, base + i, i));
-                    assert!(!sl.insert(ctx, base + i, i));
-                    assert!(sl.contains(ctx, base + i));
+                    assert!(sl.insert(ctx, base + i, i).await);
+                    assert!(!sl.insert(ctx, base + i, i).await);
+                    assert!(sl.contains(ctx, base + i).await);
                 }
                 for i in 0..8 {
-                    assert!(sl.remove(ctx, base + i));
-                    assert!(!sl.contains(ctx, base + i));
-                    assert!(!sl.remove(ctx, base + i));
+                    assert!(sl.remove(ctx, base + i).await);
+                    assert!(!sl.contains(ctx, base + i).await);
+                    assert!(!sl.remove(ctx, base + i).await);
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     m.run(progs);
@@ -574,19 +574,19 @@ fn locking_skiplist_set_semantics() {
 fn locking_skiplist_delete_min_is_min() {
     let mut m = Machine::new(cfg(1));
     let sl = m.setup(LockingSkipList::init);
-    m.run(vec![Box::new(move |ctx: &mut ThreadCtx| {
+    m.run(vec![program(async move |ctx: &mut ThreadCtx| {
         for k in [50u64, 20, 80, 10, 60, 30] {
-            sl.insert(ctx, k, k * 2);
+            sl.insert(ctx, k, k * 2).await;
         }
         let mut prev = 0;
         for _ in 0..6 {
-            let (k, v) = sl.delete_min(ctx).unwrap();
+            let (k, v) = sl.delete_min(ctx).await.unwrap();
             assert!(k > prev);
             assert_eq!(v, k * 2);
             prev = k;
         }
-        assert!(sl.delete_min(ctx).is_none());
-    }) as ThreadFn]);
+        assert!(sl.delete_min(ctx).await.is_none());
+    })]);
 }
 
 #[test]
@@ -599,19 +599,19 @@ fn lotan_shavit_concurrent_delete_min_unique() {
     let progs: Vec<ThreadFn> = (0..n)
         .map(|tid| {
             let out = out.clone();
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 let base = (tid as u64 + 1) * 10_000;
                 for i in 0..per {
-                    assert!(sl.insert(ctx, base + i, tid as u64));
+                    assert!(sl.insert(ctx, base + i, tid as u64).await);
                 }
                 let mut got = Vec::new();
                 for _ in 0..per {
-                    if let Some((k, _)) = sl.delete_min(ctx) {
+                    if let Some((k, _)) = sl.delete_min(ctx).await {
                         got.push(k);
                     }
                 }
                 out.lock().unwrap().extend(got);
-            }) as ThreadFn
+            })
         })
         .collect();
     m.run(progs);
@@ -631,18 +631,18 @@ fn lotan_shavit_concurrent_delete_min_unique() {
 fn seq_skiplist_sorted_drain() {
     let mut m = Machine::new(cfg(1));
     let sl = m.setup(SeqSkipList::init);
-    m.run(vec![Box::new(move |ctx: &mut ThreadCtx| {
-        assert!(sl.is_empty(ctx));
+    m.run(vec![program(async move |ctx: &mut ThreadCtx| {
+        assert!(sl.is_empty(ctx).await);
         let keys = [9u64, 4, 7, 1, 8, 2, 6, 3, 5, 10];
         for &k in &keys {
-            sl.insert(ctx, k, k + 100);
+            sl.insert(ctx, k, k + 100).await;
         }
-        assert_eq!(sl.peek_min(ctx), Some(1));
+        assert_eq!(sl.peek_min(ctx).await, Some(1));
         for want in 1..=10u64 {
-            let (k, v) = sl.delete_min(ctx).unwrap();
+            let (k, v) = sl.delete_min(ctx).await.unwrap();
             assert_eq!(k, want);
             assert_eq!(v, k + 100);
         }
-        assert!(sl.delete_min(ctx).is_none());
-    }) as ThreadFn]);
+        assert!(sl.delete_min(ctx).await.is_none());
+    })]);
 }

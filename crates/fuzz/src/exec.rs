@@ -19,7 +19,9 @@
 
 use crate::gen::{GenOp, Workload, DLOCK_ALGO_COUNT, MAX_COUNTERS};
 use lr_ds::ReplicatedCounter;
-use lr_machine::{Addr, CommitMode, EventQueueKind, Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{
+    program, Addr, CommitMode, EventQueueKind, Machine, SystemConfig, ThreadCtx, ThreadFn,
+};
 use lr_sim_core::tracefmt::{self, MachineTrace};
 use lr_sim_core::CoherenceProtocol;
 use lr_sync::{CsApply, Dlock, DlockHandle, DLOCK_ALGOS};
@@ -113,8 +115,8 @@ struct FuzzApply {
 }
 
 impl CsApply for FuzzApply {
-    fn apply(&self, ctx: &mut ThreadCtx, op: u64, arg: u64) -> u64 {
-        ctx.faa(self.counters[op as usize], arg)
+    async fn apply(&self, ctx: &mut ThreadCtx, op: u64, arg: u64) -> u64 {
+        ctx.faa(self.counters[op as usize], arg).await
     }
 }
 
@@ -151,61 +153,61 @@ fn thread_fn(
     for (slot, &a) in apply.counters.iter_mut().zip(counters.iter().cycle()) {
         *slot = a;
     }
-    Box::new(move |ctx: &mut ThreadCtx| {
+    program(async move |ctx: &mut ThreadCtx| {
         let mut handles: Vec<Option<DlockHandle>> = vec![None; dlocks.len()];
         let mut repl_handle = None;
         for op in &prog {
             match *op {
                 GenOp::Faa { cell, delta } => {
-                    ctx.faa(counters[cell], delta);
+                    ctx.faa(counters[cell], delta).await;
                 }
                 GenOp::LeasedFaa { cell, delta } => {
-                    ctx.lease_max(counters[cell]);
-                    ctx.faa(counters[cell], delta);
-                    ctx.release(counters[cell]);
+                    ctx.lease_max(counters[cell]).await;
+                    ctx.faa(counters[cell], delta).await;
+                    ctx.release(counters[cell]).await;
                 }
                 GenOp::Read { cell } => {
-                    ctx.read(scratch[cell]);
+                    ctx.read(scratch[cell]).await;
                 }
-                GenOp::Write { cell, value } => ctx.write(scratch[cell], value),
+                GenOp::Write { cell, value } => ctx.write(scratch[cell], value).await,
                 GenOp::Cas {
                     cell,
                     expected,
                     new,
                 } => {
-                    ctx.cas(scratch[cell], expected, new);
+                    ctx.cas(scratch[cell], expected, new).await;
                 }
                 GenOp::Xchg { cell, value } => {
-                    ctx.xchg(scratch[cell], value);
+                    ctx.xchg(scratch[cell], value).await;
                 }
                 GenOp::MultiTouch { a, b, value } => {
                     let addrs = [scratch[a], scratch[b]];
                     let time = ctx.max_lease_time().min(1_000);
-                    if ctx.multi_lease(&addrs, time) {
-                        ctx.write(addrs[0], value);
-                        ctx.write(addrs[1], value ^ 1);
+                    if ctx.multi_lease(&addrs, time).await {
+                        ctx.write(addrs[0], value).await;
+                        ctx.write(addrs[1], value ^ 1).await;
                     }
-                    ctx.release_all();
+                    ctx.release_all().await;
                 }
                 GenOp::AllocChurn { words, value } => {
-                    let p = ctx.malloc_line(words * 8);
-                    ctx.write(p, value);
-                    ctx.xchg(p, value.wrapping_add(1));
-                    ctx.free(p);
+                    let p = ctx.malloc_line(words * 8).await;
+                    ctx.write(p, value).await;
+                    ctx.xchg(p, value.wrapping_add(1)).await;
+                    ctx.free(p).await;
                 }
                 GenOp::DlockFaa { algo, cell, delta } => {
                     let d = dlocks[algo]
                         .as_ref()
                         .expect("setup allocated a pool for every used algorithm");
                     let h = handles[algo].get_or_insert_with(|| d.handle(tid));
-                    d.run(ctx, h, &apply, cell as u64, delta);
+                    d.run(ctx, h, &apply, cell as u64, delta).await;
                 }
                 GenOp::ReplicatedOp { delta } => {
                     let rc = repl
                         .as_ref()
                         .expect("setup allocated the replicated counter for this workload");
                     let h = repl_handle.get_or_insert_with(|| rc.handle(tid));
-                    rc.add(ctx, h, delta);
+                    rc.add(ctx, h, delta).await;
                 }
                 GenOp::Work { cycles } => ctx.work(cycles),
             }
@@ -215,7 +217,7 @@ fn thread_fn(
 }
 
 /// Record one live run of `w` under `variant`. A panic anywhere in the
-/// lockstep run (worker or engine) is folded into an `Err` — a
+/// live run (workload or engine) is folded into an `Err` — a
 /// live-abort finding, never a farm crash.
 pub fn record_workload(w: &Workload, variant: Variant) -> Result<RunOutput, String> {
     let mut cfg = SystemConfig::with_cores(w.threads());

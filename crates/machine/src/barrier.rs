@@ -42,16 +42,16 @@ impl SimBarrier {
     }
 
     /// Block (in simulated time) until all `n` threads have arrived.
-    pub fn wait(&mut self, ctx: &mut ThreadCtx) {
+    pub async fn wait(&mut self, ctx: &mut ThreadCtx) {
         ctx.note_barrier();
         let my = !self.local_sense;
         self.local_sense = my;
-        let arrived = ctx.faa(self.count, 1);
+        let arrived = ctx.faa(self.count, 1).await;
         if arrived == self.n - 1 {
-            ctx.write(self.count, 0);
-            ctx.write(self.sense, my as u64);
+            ctx.write(self.count, 0).await;
+            ctx.write(self.sense, my as u64).await;
         } else {
-            while ctx.read(self.sense) != my as u64 {
+            while ctx.read(self.sense).await != my as u64 {
                 // Spin locally on the Shared copy; re-probe after a pause.
                 ctx.work(20);
             }

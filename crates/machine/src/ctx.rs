@@ -1,50 +1,83 @@
-//! The worker-side simulated-instruction API.
+//! The workload-side simulated-instruction API.
 
 use crate::proto::{AddrVec, Op, Reply, Request};
-use crate::rendezvous::{SlotReceiver, SlotSender};
 use lr_lease::LeaseOps;
-use lr_sim_core::tracefmt::{OpRecord, TraceOp};
 use lr_sim_core::{Addr, Cycle, LeaseConfig, SplitMix64};
-use std::sync::{Arc, Mutex};
+use std::cell::{Cell, RefCell};
+use std::future::Future;
+use std::pin::Pin;
+use std::rc::Rc;
+use std::task::{Context, Poll};
 
-/// Where worker threads deposit their finished op streams: one slot per
-/// core, filled exactly once when the worker exits.
-pub(crate) type RecordSink = Arc<Mutex<Vec<Option<Vec<OpRecord>>>>>;
-
-/// Per-worker trace capture state. Lives inside [`ThreadCtx`] only when
-/// the run records (`Machine::run_recorded` or
-/// `Machine::with_trace_output`); otherwise issue() pays a single branch
-/// and no allocation.
-pub(crate) struct Recorder {
-    sink: RecordSink,
-    records: Vec<OpRecord>,
+/// One core's handoff cell between its [`ThreadCtx`] (inside the
+/// workload future) and the engine-side live source that polls that
+/// future. Both live on the engine's thread, so plain `Cell`s suffice:
+/// an instruction posts its [`Request`] and suspends, the engine puts
+/// the [`Reply`] here and polls the future again.
+///
+/// The core's clock and retirement counters live here too, so the
+/// source can build the core's `Exit` however its future ended.
+#[derive(Default)]
+pub(crate) struct Mailbox {
+    pub(crate) req: Cell<Option<Request>>,
+    pub(crate) reply: Cell<Option<Reply>>,
+    pub(crate) time: Cell<Cycle>,
+    pub(crate) instructions: Cell<u64>,
+    pub(crate) ops: Cell<u64>,
+    /// `Some` only on recording runs: times of the barrier markers
+    /// noted since the source last drained them.
+    pub(crate) marks: Option<RefCell<Vec<Cycle>>>,
 }
 
-impl Recorder {
-    pub(crate) fn new(sink: RecordSink) -> Self {
-        Recorder {
-            sink,
-            records: Vec::new(),
+/// One simulated instruction: the first poll advances the core's clock
+/// by the instruction cost, posts the request and suspends; the poll
+/// after the engine's reply lands completes with it.
+struct Issue<'a> {
+    mb: &'a Mailbox,
+    tid: usize,
+    cost: Cycle,
+    op: Option<Op>,
+}
+
+impl Future for Issue<'_> {
+    type Output = Reply;
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Reply> {
+        let mb = self.mb;
+        if let Some(op) = self.op.take() {
+            let at = mb.time.get() + self.cost;
+            mb.time.set(at);
+            mb.instructions.set(mb.instructions.get() + 1);
+            let tid = self.tid;
+            let prev = mb.req.replace(Some(Request { tid, at, op }));
+            assert!(
+                prev.is_none(),
+                "core {tid}: a second simulated instruction was issued while one is in flight"
+            );
+            return Poll::Pending;
+        }
+        match mb.reply.take() {
+            Some(r) => {
+                mb.time.set(r.time);
+                Poll::Ready(r)
+            }
+            None => Poll::Pending,
         }
     }
 }
 
 /// Per-thread handle to the simulated machine.
 ///
-/// Every method is a *simulated instruction*: it advances this thread's
-/// simulated clock and may block (in simulated time) on the coherence
-/// protocol. Workload code calls these instead of real loads/stores.
+/// Every `async` method is a *simulated instruction*: awaiting it
+/// advances this thread's simulated clock and may block (in simulated
+/// time) on the coherence protocol. Workload code calls these instead
+/// of real loads/stores. The synchronous methods (`work`, `count_op`,
+/// ...) are local bookkeeping with no engine round trip.
 pub struct ThreadCtx {
     tid: usize,
-    time: Cycle,
     inst_cost: Cycle,
     lease_cfg: LeaseConfig,
-    req: SlotSender<Request>,
-    reply: SlotReceiver<Reply>,
     rng: SplitMix64,
-    instructions: u64,
-    ops: u64,
-    rec: Option<Box<Recorder>>,
+    mb: Rc<Mailbox>,
 }
 
 impl ThreadCtx {
@@ -53,21 +86,14 @@ impl ThreadCtx {
         inst_cost: Cycle,
         lease_cfg: LeaseConfig,
         seed: u64,
-        req: SlotSender<Request>,
-        reply: SlotReceiver<Reply>,
-        rec: Option<Recorder>,
+        mb: Rc<Mailbox>,
     ) -> Self {
         ThreadCtx {
             tid,
-            time: 0,
             inst_cost,
             lease_cfg,
-            req,
-            reply,
             rng: SplitMix64::new(seed ^ (tid as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-            instructions: 0,
-            ops: 0,
-            rec: rec.map(Box::new),
+            mb,
         }
     }
 
@@ -78,7 +104,7 @@ impl ThreadCtx {
 
     /// Current simulated time at this core, cycles.
     pub fn now(&self) -> Cycle {
-        self.time
+        self.mb.time.get()
     }
 
     /// The system-wide `MAX_LEASE_TIME` bound.
@@ -93,224 +119,170 @@ impl ThreadCtx {
 
     /// Report one completed application-level operation (throughput unit).
     pub fn count_op(&mut self) {
-        self.ops += 1;
+        self.count_ops(1);
     }
 
     /// Report `n` completed application-level operations.
     pub fn count_ops(&mut self, n: u64) {
-        self.ops += n;
+        self.mb.ops.set(self.mb.ops.get() + n);
     }
 
     /// Local computation for `cycles` cycles (no memory traffic).
     pub fn work(&mut self, cycles: Cycle) {
-        self.time += cycles;
-        self.instructions += cycles;
+        let mb = &*self.mb;
+        mb.time.set(mb.time.get() + cycles);
+        mb.instructions.set(mb.instructions.get() + cycles);
     }
 
-    fn issue(&mut self, op: Op) -> Reply {
-        self.time += self.inst_cost;
-        self.instructions += 1;
-        let at = self.time;
-        // Capture the trace form before the op is moved into the request.
-        let traced = self.rec.as_ref().map(|_| op.to_trace());
-        let tid = self.tid;
-        self.req
-            .send(Request { tid, at, op })
-            .unwrap_or_else(|_| panic!("core {tid}: engine terminated before accepting an op"));
-        let r = self
-            .reply
-            .recv()
-            .unwrap_or_else(|_| panic!("core {tid}: engine terminated without completing an op"));
-        debug_assert!(r.time >= self.time);
-        if let (Some(rec), Some(op)) = (self.rec.as_mut(), traced) {
-            rec.records.push(OpRecord {
-                at,
-                op,
-                reply_time: r.time,
-                reply_value: r.value,
-                reply_flag: r.flag,
-            });
+    fn issue(&mut self, op: Op) -> Issue<'_> {
+        Issue {
+            mb: &self.mb,
+            tid: self.tid,
+            cost: self.inst_cost,
+            op: Some(op),
         }
-        self.time = r.time;
-        r
     }
 
     /// Drop a `Barrier` marker into the trace stream (no engine-visible
     /// op). The replayer skips markers; tools use them to delimit phases.
     pub(crate) fn note_barrier(&mut self) {
-        if let Some(rec) = self.rec.as_mut() {
-            rec.records.push(OpRecord {
-                at: self.time,
-                op: TraceOp::Barrier,
-                reply_time: self.time,
-                reply_value: 0,
-                reply_flag: false,
-            });
+        if let Some(marks) = &self.mb.marks {
+            marks.borrow_mut().push(self.mb.time.get());
         }
     }
 
     /// 64-bit load.
-    pub fn read(&mut self, addr: Addr) -> u64 {
-        self.issue(Op::Read(addr)).value
+    pub async fn read(&mut self, addr: Addr) -> u64 {
+        self.issue(Op::Read(addr)).await.value
     }
 
     /// 64-bit store.
-    pub fn write(&mut self, addr: Addr, value: u64) {
-        self.issue(Op::Write(addr, value));
+    pub async fn write(&mut self, addr: Addr, value: u64) {
+        self.issue(Op::Write(addr, value)).await;
     }
 
     /// Compare-and-swap; true on success.
-    pub fn cas(&mut self, addr: Addr, expected: u64, new: u64) -> bool {
+    pub async fn cas(&mut self, addr: Addr, expected: u64, new: u64) -> bool {
         self.issue(Op::Cas {
             addr,
             expected,
             new,
         })
+        .await
         .flag
     }
 
     /// Compare-and-swap returning `(success, observed old value)`.
-    pub fn cas_val(&mut self, addr: Addr, expected: u64, new: u64) -> (bool, u64) {
-        let r = self.issue(Op::Cas {
-            addr,
-            expected,
-            new,
-        });
+    pub async fn cas_val(&mut self, addr: Addr, expected: u64, new: u64) -> (bool, u64) {
+        let r = self
+            .issue(Op::Cas {
+                addr,
+                expected,
+                new,
+            })
+            .await;
         (r.flag, r.value)
     }
 
     /// Fetch-and-add, returning the old value.
-    pub fn faa(&mut self, addr: Addr, delta: u64) -> u64 {
-        self.issue(Op::Faa { addr, delta }).value
+    pub async fn faa(&mut self, addr: Addr, delta: u64) -> u64 {
+        self.issue(Op::Faa { addr, delta }).await.value
     }
 
     /// Fetch-and-add with wrapping arithmetic on a signed delta.
-    pub fn faa_signed(&mut self, addr: Addr, delta: i64) -> u64 {
-        self.issue(Op::Faa {
-            addr,
-            delta: delta as u64,
-        })
-        .value
+    pub async fn faa_signed(&mut self, addr: Addr, delta: i64) -> u64 {
+        let delta = delta as u64;
+        self.issue(Op::Faa { addr, delta }).await.value
     }
 
     /// Atomic exchange, returning the old value.
-    pub fn xchg(&mut self, addr: Addr, value: u64) -> u64 {
-        self.issue(Op::Xchg { addr, value }).value
+    pub async fn xchg(&mut self, addr: Addr, value: u64) -> u64 {
+        self.issue(Op::Xchg { addr, value }).await.value
     }
 
     /// `Lease(addr, time)` — lease the cache line containing `addr` for
     /// `min(time, MAX_LEASE_TIME)` cycles (Algorithm 1). Blocks until the
     /// line is owned exclusively.
-    pub fn lease(&mut self, addr: Addr, time: Cycle) {
-        self.issue(Op::Lease { addr, time });
+    pub async fn lease(&mut self, addr: Addr, time: Cycle) {
+        self.issue(Op::Lease { addr, time }).await;
     }
 
     /// Lease for the maximum allowed interval.
-    pub fn lease_max(&mut self, addr: Addr) {
-        self.lease(addr, self.lease_cfg.max_lease_time);
+    pub async fn lease_max(&mut self, addr: Addr) {
+        let time = self.lease_cfg.max_lease_time;
+        self.issue(Op::Lease { addr, time }).await;
     }
 
     /// `Release(addr)`; returns true iff the release was voluntary.
-    pub fn release(&mut self, addr: Addr) -> bool {
-        self.issue(Op::Release { addr }).flag
+    pub async fn release(&mut self, addr: Addr) -> bool {
+        self.issue(Op::Release { addr }).await.flag
     }
 
     /// Hardware `MultiLease` (Algorithm 2): jointly lease the lines of
     /// `addrs`, acquiring them in the fixed global order. Returns false
     /// if the group was rejected (`MAX_NUM_LEASES` exceeded).
-    pub fn multi_lease(&mut self, addrs: &[Addr], time: Cycle) -> bool {
+    pub async fn multi_lease(&mut self, addrs: &[Addr], time: Cycle) -> bool {
         self.issue(Op::MultiLease {
             addrs: AddrVec::from_slice(addrs),
             time,
         })
+        .await
         .flag
     }
 
     /// `ReleaseAll()`: drop every lease this core holds.
-    pub fn release_all(&mut self) {
-        self.issue(Op::ReleaseAll);
+    pub async fn release_all(&mut self) {
+        self.issue(Op::ReleaseAll).await;
     }
 
     /// *Software* MultiLease emulation (Section 4): single-location
     /// leases taken in sorted order with staggered timeouts
     /// `time + j·X`. Joint holding is *not* guaranteed.
-    pub fn software_multi_lease(&mut self, addrs: &[Addr], time: Cycle) {
+    pub async fn software_multi_lease(&mut self, addrs: &[Addr], time: Cycle) {
         let x = self.lease_cfg.software_multilease_x;
         for (a, dur) in lr_lease::software_multilease_schedule(addrs, time, x) {
-            self.lease(a, dur);
+            self.lease(a, dur).await;
         }
     }
 
     /// Release the software-MultiLease group (every address individually).
-    pub fn software_release_all(&mut self, addrs: &[Addr]) {
+    pub async fn software_release_all(&mut self, addrs: &[Addr]) {
         for &a in addrs {
-            self.release(a);
+            self.release(a).await;
         }
     }
 
     /// Allocate simulated heap memory.
-    pub fn malloc(&mut self, size: u64, align: u64) -> Addr {
-        Addr(self.issue(Op::Malloc { size, align }).value)
+    pub async fn malloc(&mut self, size: u64, align: u64) -> Addr {
+        Addr(self.issue(Op::Malloc { size, align }).await.value)
     }
 
     /// Allocate cache-line-aligned memory (lease-safe: never shares a
     /// line with another allocation).
-    pub fn malloc_line(&mut self, size: u64) -> Addr {
-        self.malloc(size, lr_sim_core::LINE_SIZE)
+    pub async fn malloc_line(&mut self, size: u64) -> Addr {
+        self.malloc(size, lr_sim_core::LINE_SIZE).await
     }
 
     /// Free simulated heap memory.
-    pub fn free(&mut self, addr: Addr) {
-        self.issue(Op::Free(addr));
+    pub async fn free(&mut self, addr: Addr) {
+        self.issue(Op::Free(addr)).await;
     }
 
     /// Lease-based snapshot (Section 5): returns a consistent view of
     /// `addrs` or `None` if any lease expired involuntarily.
-    pub fn snapshot(&mut self, addrs: &[Addr], time: Cycle) -> Option<Vec<u64>> {
-        lr_lease::snapshot(self, addrs, time)
-    }
-
-    pub(crate) fn send_exit(&mut self, panicked: bool) {
-        if let Some(mut rec) = self.rec.take() {
-            if !panicked {
-                rec.records.push(OpRecord {
-                    at: self.time,
-                    op: TraceOp::Exit {
-                        instructions: self.instructions,
-                        ops: self.ops,
-                    },
-                    reply_time: self.time,
-                    reply_value: 0,
-                    reply_flag: false,
-                });
-            }
-            // A poisoned sink means the engine already failed; the trace
-            // is moot, so losing this core's stream is fine.
-            if let Ok(mut slots) = rec.sink.lock() {
-                slots[self.tid] = Some(std::mem::take(&mut rec.records));
-            }
-        }
-        let _ = self.req.send(Request {
-            tid: self.tid,
-            at: self.time,
-            op: Op::Exit {
-                instructions: self.instructions,
-                ops: self.ops,
-                at: self.time,
-                panicked,
-            },
-        });
+    pub async fn snapshot(&mut self, addrs: &[Addr], time: Cycle) -> Option<Vec<u64>> {
+        lr_lease::snapshot(self, addrs, time).await
     }
 }
 
 impl LeaseOps for ThreadCtx {
-    fn lease(&mut self, addr: Addr, time: Cycle) {
-        ThreadCtx::lease(self, addr, time);
+    async fn lease(&mut self, addr: Addr, time: Cycle) {
+        ThreadCtx::lease(self, addr, time).await;
     }
-    fn release(&mut self, addr: Addr) -> bool {
-        ThreadCtx::release(self, addr)
+    async fn release(&mut self, addr: Addr) -> bool {
+        ThreadCtx::release(self, addr).await
     }
-    fn read(&mut self, addr: Addr) -> u64 {
-        ThreadCtx::read(self, addr)
+    async fn read(&mut self, addr: Addr) -> u64 {
+        ThreadCtx::read(self, addr).await
     }
 }

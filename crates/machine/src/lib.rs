@@ -1,19 +1,20 @@
 //! # lr-machine
 //!
 //! The full-system simulated multicore: tiles (core + L1 + lease table +
-//! L2 slice/directory), the deterministic lockstep thread runtime, and the
-//! [`ThreadCtx`] simulated-instruction API that workloads program against.
+//! L2 slice/directory), the deterministic coroutine thread runtime, and
+//! the [`ThreadCtx`] simulated-instruction API that workloads program
+//! against.
 //!
 //! ## Execution model
 //!
-//! Workloads are ordinary Rust closures running on real OS threads, but in
-//! strict lockstep with the discrete-event engine: exactly one entity
-//! (engine or one worker) runs at any moment, so every simulation is
-//! deterministic — same seed, same statistics, bit for bit.
+//! Workloads are `async` Rust programs ([`program`]), one per simulated
+//! core. The engine polls each core's future on its own thread, exactly
+//! when that core's previous instruction completes, so every simulation
+//! is deterministic — same seed, same statistics, bit for bit.
 //!
-//! Each `ThreadCtx` call is a *simulated instruction*: it advances the
-//! thread's local clock by the instruction cost and, for memory
-//! operations, round-trips through the coherence protocol of
+//! Each awaited `ThreadCtx` call is a *simulated instruction*: it
+//! advances the thread's local clock by the instruction cost and, for
+//! memory operations, round-trips through the coherence protocol of
 //! `lr-coherence`, including lease-table consultation per the paper's
 //! Algorithms 1 and 2. Data values are read/written at the simulated
 //! completion instant, so CAS failures, lock contention, and lease
@@ -29,17 +30,17 @@
 
 mod barrier;
 mod ctx;
+mod live;
 mod machine;
 mod proto;
-pub mod rendezvous;
 
 pub use barrier::SimBarrier;
 pub use ctx::ThreadCtx;
+pub use live::{program, ThreadFn};
 pub use machine::{
     engine_commit_from_env, engine_shards_from_env, CommitMode, EngineInfo, Machine, OpSource,
-    RecordedRun, SourceAbort, ThreadFn, TraceOutput,
+    RecordedRun, SourceAbort, TraceOutput,
 };
 pub use proto::{AddrVec, Op, Reply, Request};
-pub use rendezvous::configured_spin_rounds;
 
 pub use lr_sim_core::{Addr, CoreId, Cycle, EventQueueKind, LineAddr, MachineStats, SystemConfig};

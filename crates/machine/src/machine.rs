@@ -1,10 +1,10 @@
 //! The engine loop: ties the coherence protocol, lease tables, simulated
-//! memory, and lockstep workers together.
+//! memory, and the workloads' op sources together.
 //!
 //! ## Event routing
 //!
 //! Every simulated instruction becomes an `OpStart` event at the
-//! worker's local issue time and an `OpComplete` event at its
+//! core's local issue time and an `OpComplete` event at its
 //! protocol-determined completion time. Every event names the tile it
 //! executes at ([`Ev::tile`]), and applying it touches only that tile's
 //! slice of machine state — its pending-op slot, its lease table, its
@@ -19,27 +19,25 @@
 //! [`CommitMode::Lockstep`] applies events strictly in global
 //! `(time, key)` order, one at a time. [`CommitMode::Relaxed`] drives
 //! the safe-window API of [`ShardedQueue`]: each partition commits its
-//! whole window batch without per-event synchronization — concurrently
-//! across host threads on live runs — and the tile-local discipline
-//! above guarantees the simulated results are byte-identical anyway.
+//! whole window batch in turn, in a different order than global time,
+//! and the tile-local discipline above guarantees the simulated results
+//! are byte-identical anyway.
 //! The shard A/B tests and the CI lockstep-vs-relaxed gate hold us to
 //! that, byte for byte.
 
-use crate::ctx::{RecordSink, Recorder, ThreadCtx};
+use crate::live::{LiveSource, ThreadFn};
 use crate::proto::{Op, Reply, Request, ALLOC_COST};
-use crate::rendezvous::{slot, SlotReceiver, SlotSender};
 use lr_coherence::{AccessKind, CohContext, CohEvent, CoherenceEngine, ProbeAction};
 use lr_lease::{ArmedCounter, BeginLease, LeaseTable, MultiLeaseBegin};
 use lr_sim_core::trace::{TraceEvent, TraceRing, TraceSink};
-use lr_sim_core::tracefmt::{self, MachineTrace, OpRecord};
+use lr_sim_core::tracefmt::{self, MachineTrace};
 use lr_sim_core::{
     CoreId, Cycle, EventQueueKind, LineAddr, MachineStats, ShardedQueue, SystemConfig,
 };
 use lr_sim_mem::SimMemory;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 static SHARDS_FROM_ENV: OnceLock<usize> = OnceLock::new();
 
@@ -81,13 +79,12 @@ pub fn engine_shards_from_env() -> usize {
 /// How a partitioned engine commits each safe window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommitMode {
-    /// One event at a time, in global `(time, key)` order (the turn
-    /// protocol). Required by the globally-ordered structured trace
-    /// ring on live runs; otherwise a debugging/A-B reference.
+    /// One event at a time, in global `(time, key)` order: the
+    /// sequential loop. The A/B reference for relaxed commit.
     Lockstep,
-    /// Whole safe-window batches per partition, with no per-event
-    /// synchronization (host-parallel on live runs). Simulated results
-    /// are identical to lockstep by construction.
+    /// Whole safe-window batches per partition, one partition after
+    /// another. Simulated results are identical to lockstep by
+    /// construction.
     Relaxed,
 }
 
@@ -138,29 +135,22 @@ pub fn engine_commit_from_env() -> CommitMode {
 /// by the issuing event's own tile.
 const ALLOC_HOME: usize = 0;
 
-/// A workload thread: a closure over the simulated-instruction API.
-pub type ThreadFn = Box<dyn FnOnce(&mut ThreadCtx) + Send + 'static>;
-
-/// A single-threaded supplier of requests for engine-only replay.
+/// A single-threaded supplier of requests: live workloads (the machine's
+/// own coroutine source) or an engine-only replay.
 ///
-/// `next(tid)` is called exactly where the live machine would block on
-/// core `tid`'s rendezvous slot; `observe(tid, reply)` is called with the
-/// reply the live worker would have received, immediately before the next
-/// `next(tid)`. Returning `Err` from either aborts the run with a
-/// structured failure report — this is how `lr-replay` surfaces
-/// divergence between a recorded trace and the engine's behaviour.
+/// `next(tid)` is called whenever core `tid` is ready to issue its next
+/// instruction; `observe(tid, reply)` is called with the reply to that
+/// instruction, immediately before the next `next(tid)`. Returning `Err`
+/// from either aborts the run with a structured failure report — this is
+/// how `lr-replay` surfaces divergence between a recorded trace and the
+/// engine's behaviour.
 ///
 /// Calls for different `tid`s arrive in executor-dependent order (the
 /// relaxed executor drains per-partition window batches, not global time
 /// order), but each core's own `next`/`observe` alternation is always in
 /// that core's program order — sources must key their state by `tid`,
 /// never by global call order.
-///
-/// `Send` because the engine core that drives a source is shared with
-/// the partitioned executor's host threads (sources themselves are only
-/// ever *called* from one thread at a time — engine-only runs are
-/// driven from a single host thread in every commit mode).
-pub trait OpSource: Send {
+pub trait OpSource {
     /// The next request core `tid` issues (or its `Op::Exit`).
     fn next(&mut self, tid: usize) -> Result<Request, String>;
     /// The engine's reply to core `tid`'s in-flight request.
@@ -185,49 +175,6 @@ pub struct RecordedRun {
     /// Discrete events the engine processed.
     pub events: u64,
     pub trace: MachineTrace,
-}
-
-/// How `run_inner` is driven: live OS-thread workers (optionally
-/// recording) or an engine-only [`OpSource`].
-enum Mode<'a> {
-    Live {
-        programs: Vec<ThreadFn>,
-        record: bool,
-    },
-    Source {
-        threads: usize,
-        source: &'a mut dyn OpSource,
-    },
-}
-
-/// Where requests come from and replies go to: the live rendezvous slots
-/// or an [`OpSource`] feeding recorded ops from the engine's own thread.
-enum Transport<'a> {
-    Live {
-        req_rx: Vec<SlotReceiver<Request>>,
-        reply_tx: Vec<SlotSender<Reply>>,
-    },
-    Source(&'a mut dyn OpSource),
-}
-
-impl Transport<'_> {
-    fn recv(&mut self, tid: usize) -> Result<Request, String> {
-        match self {
-            Transport::Live { req_rx, .. } => req_rx[tid]
-                .recv()
-                .map_err(|_| format!("core {tid}: worker hung up without sending Exit")),
-            Transport::Source(src) => src.next(tid),
-        }
-    }
-
-    fn reply(&mut self, tid: usize, r: Reply) -> Result<(), String> {
-        match self {
-            Transport::Live { reply_tx, .. } => reply_tx[tid]
-                .send(r)
-                .map_err(|_| format!("core {tid}: worker hung up before receiving its reply")),
-            Transport::Source(src) => src.observe(tid, r),
-        }
-    }
 }
 
 /// Where a live run dumps its captured trace: a directory plus a
@@ -310,13 +257,6 @@ fn write_trace_file(out: &TraceOutput, trace: &MachineTrace) {
     }
 }
 
-/// Yield-phase budget pool for worker reply receivers, divided by the
-/// worker count: the more workers are waiting, the longer each host
-/// scheduling rotation, so the quicker each should fall back to parking
-/// (see the comment at the `slot()` construction site in
-/// [`Machine::run_with_memory`]).
-const WORKER_YIELD_CAP: u32 = 16;
-
 /// Host-level observability for one run: how the execution engine (not
 /// the simulated machine) behaved. Kept out of [`MachineStats`] so the
 /// published simulated metrics stay exactly the paper's — and so the
@@ -377,11 +317,11 @@ fn queue_info(q: &ShardedQueue<Ev>) -> EngineInfo {
 /// tile — the property that makes relaxed window commit sound.
 #[derive(Debug)]
 enum Ev {
-    /// Wait for the worker's first request.
+    /// Fetch the core's first request.
     Start(usize),
-    /// A worker's instruction reaches its issue time.
+    /// A core's instruction reaches its issue time.
     OpStart(usize),
-    /// A worker's instruction completes (data moves now).
+    /// A core's instruction completes (data moves now).
     OpComplete(usize),
     /// Coherence-protocol event, delivered at the named tile.
     Coh(u16, CohEvent),
@@ -421,10 +361,10 @@ struct LeaseCounters {
     multileases: u64,
 }
 
-/// In-flight instruction state per worker.
+/// In-flight instruction state per core.
 #[derive(Debug)]
 enum Pending {
-    /// Received from the worker, waiting for its issue time.
+    /// Received from the core's source, waiting for its issue time.
     Incoming(Op),
     /// A data access in the protocol; data moves at completion.
     Data { op: Op, issued: Cycle },
@@ -462,10 +402,9 @@ struct Scratch {
 
 /// Machine state shared across partitions. Every access is keyed by the
 /// executing event's tile — queue pushes by source partition, lease
-/// tables and counters by core — so concurrent window commits touch
-/// disjoint slices. The structured trace ring is the exception: it is
-/// one globally-ordered window, so live runs with tracing on commit in
-/// lockstep (see `run_inner`).
+/// tables and counters by core — so window commits touch disjoint
+/// slices. The structured trace ring is the exception: it is one
+/// window over the whole machine, in commit order.
 struct Shared {
     queue: ShardedQueue<Ev>,
     tables: Vec<LeaseTable>,
@@ -480,7 +419,7 @@ struct Shared {
 /// being applied (every `schedule` is relative to them, and the tile
 /// both stamps the canonical push key and names the source partition)
 /// plus the deferred-effect and reuse buffers that used to be global —
-/// one set per partition so relaxed window commits never share them.
+/// one set per partition, so each partition's window batch has its own.
 #[derive(Default)]
 struct PartCtx {
     /// Base time of the engine call in progress (schedule() is relative).
@@ -658,23 +597,23 @@ impl CohContext for Ctx<'_> {
 /// run a set of workload threads to completion.
 ///
 /// ```
-/// use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+/// use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 ///
 /// let mut machine = Machine::new(SystemConfig::with_cores(2));
 /// let cell = machine.setup(|mem| mem.alloc_line_aligned(8));
 /// let progs: Vec<ThreadFn> = (0..2)
 ///     .map(|_| {
-///         Box::new(move |ctx: &mut ThreadCtx| {
+///         program(async move |ctx: &mut ThreadCtx| {
 ///             // Lease the line for the read–CAS window (paper Fig. 1).
 ///             loop {
-///                 ctx.lease_max(cell);
-///                 let v = ctx.read(cell);
-///                 let ok = ctx.cas(cell, v, v + 1);
-///                 ctx.release(cell);
+///                 ctx.lease_max(cell).await;
+///                 let v = ctx.read(cell).await;
+///                 let ok = ctx.cas(cell, v, v + 1).await;
+///                 ctx.release(cell).await;
 ///                 if ok { break; }
 ///             }
 ///             ctx.count_op();
-///         }) as ThreadFn
+///         })
 ///     })
 ///     .collect();
 /// let (stats, mem) = machine.run_with_memory(progs);
@@ -703,8 +642,8 @@ pub struct Machine {
 }
 
 // The `lr-bench` sweep driver constructs and runs one `Machine` per
-// grid cell from parallel host worker threads. Machines (and the
-// workload closures they accept) must therefore stay Send; this fails
+// grid cell from parallel host threads. Machines (and the workload
+// closures they accept) must therefore stay Send; this fails
 // compilation if a non-Send field (Rc, raw-pointer cache, ...) is ever
 // introduced.
 const _: () = {
@@ -714,9 +653,13 @@ const _: () = {
 };
 
 impl Machine {
+    /// The largest simulated core count a machine supports (the width
+    /// of the directory's sharer set).
+    pub const MAX_CORES: usize = lr_coherence::CoreSet::CAPACITY;
+
     /// A machine with the given configuration and an empty heap.
     pub fn new(cfg: SystemConfig) -> Self {
-        assert!(cfg.num_cores >= 1 && cfg.num_cores <= lr_coherence::CoreSet::CAPACITY);
+        assert!(cfg.num_cores >= 1 && cfg.num_cores <= Self::MAX_CORES);
         Machine {
             cfg,
             mem: SimMemory::new(),
@@ -773,9 +716,6 @@ impl Machine {
     /// failure report emitted on watchdog trips, deadlocks, or invariant
     /// violations (0 = off, the default). Events are plain `Copy` records;
     /// nothing is formatted unless a report is actually printed.
-    ///
-    /// The ring is one globally-ordered window, so live runs with
-    /// `depth > 0` commit in lockstep regardless of the commit mode.
     pub fn with_trace(mut self, depth: usize) -> Self {
         self.trace_depth = depth;
         self
@@ -811,7 +751,7 @@ impl Machine {
     /// Run `programs` (one per core, at most `num_cores`) to completion
     /// and return the merged statistics.
     ///
-    /// Panics if any worker panics, if the watchdog limits are exceeded,
+    /// Panics if any workload panics, if the watchdog limits are exceeded,
     /// or if protocol invariants are violated at quiescence.
     pub fn run(self, programs: Vec<ThreadFn>) -> MachineStats {
         self.run_with_memory(programs).0
@@ -841,40 +781,27 @@ impl Machine {
         self,
         programs: Vec<ThreadFn>,
     ) -> (MachineStats, SimMemory, EngineInfo) {
-        match self.run_inner(Mode::Live {
-            programs,
-            record: false,
-        }) {
-            Ok((stats, mem, info, _)) => (stats, mem, info),
-            // Live-mode failures panic inside run_inner; keep the
-            // fallback for type completeness.
-            Err(abort) => panic!("{}", abort.report),
-        }
+        let (stats, mem, info, _) = self.run_live(programs, false);
+        (stats, mem, info)
     }
 
     /// Like [`Machine::run_counted`], additionally capturing every
-    /// worker's op stream (operands, issue times, and observed replies)
+    /// core's op stream (operands, issue times, and observed replies)
     /// plus a pre-run memory snapshot, as a [`MachineTrace`] ready for
     /// [`tracefmt::encode`] and later engine-only replay.
     pub fn run_recorded(self, programs: Vec<ThreadFn>) -> RecordedRun {
-        match self.run_inner(Mode::Live {
-            programs,
-            record: true,
-        }) {
-            Ok((stats, mem, info, trace)) => RecordedRun {
-                stats,
-                mem,
-                events: info.events,
-                trace: trace.expect("recording run produces a trace"),
-            },
-            Err(abort) => panic!("{}", abort.report),
+        let (stats, mem, info, trace) = self.run_live(programs, true);
+        RecordedRun {
+            stats,
+            mem,
+            events: info.events,
+            trace: trace.expect("recording run produces a trace"),
         }
     }
 
-    /// Engine-only run: instead of spawning workers, pull every request
-    /// from `source` on the engine's own thread — no rendezvous slots, no
-    /// parked OS threads. `threads` is the simulated core count to drive
-    /// (must match the recording for faithful replay). Failures —
+    /// Engine-only run: pull every request from `source` instead of
+    /// from live workloads. `threads` is the simulated core count to
+    /// drive (must match the recording for faithful replay). Failures —
     /// including `source` reporting divergence — return a structured
     /// [`SourceAbort`] instead of panicking.
     pub fn run_source(
@@ -882,47 +809,63 @@ impl Machine {
         threads: usize,
         source: &mut dyn OpSource,
     ) -> Result<(MachineStats, SimMemory, u64), Box<SourceAbort>> {
-        let (stats, mem, info, _) = self.run_inner(Mode::Source { threads, source })?;
+        let (stats, mem, info) = self.run_inner(threads, source)?;
         Ok((stats, mem, info.events))
     }
 
+    /// Run `programs` as in-thread coroutines through a [`LiveSource`],
+    /// recording when asked to (or when a trace output is configured).
+    /// Any failure panics with the structured report.
     #[allow(clippy::type_complexity)]
+    fn run_live(
+        mut self,
+        programs: Vec<ThreadFn>,
+        record: bool,
+    ) -> (MachineStats, SimMemory, EngineInfo, Option<MachineTrace>) {
+        let trace_out = self.trace_out.take();
+        // The replayer restores this exact image before re-driving ops,
+        // so it must be taken before any simulated execution.
+        let pre_image = (record || trace_out.is_some()).then(|| self.mem.snapshot());
+        let cfg = self.cfg.clone();
+        let n = programs.len();
+        let mut source = LiveSource::new(programs, &cfg, pre_image.is_some());
+        let (stats, mem, info) = self
+            .run_inner(n, &mut source)
+            .unwrap_or_else(|abort| panic!("{}", abort.report));
+        let trace = pre_image.map(|image| {
+            let trace = MachineTrace {
+                config: cfg,
+                mem: image,
+                cores: source.take_records(),
+                stats_json: stats.to_json(),
+                live_events: info.events,
+            };
+            if let Some(out) = &trace_out {
+                write_trace_file(out, &trace);
+            }
+            trace
+        });
+        (stats, mem, info, trace)
+    }
+
     fn run_inner(
         self,
-        mode: Mode<'_>,
-    ) -> Result<(MachineStats, SimMemory, EngineInfo, Option<MachineTrace>), Box<SourceAbort>> {
-        let trace_depth = self.trace_depth;
-        let trace_out = self.trace_out;
+        n: usize,
+        source: &mut dyn OpSource,
+    ) -> Result<(MachineStats, SimMemory, EngineInfo), Box<SourceAbort>> {
         let cfg = self.cfg;
         let shards = self
             .engine_shards
             .unwrap_or_else(engine_shards_from_env)
             .clamp(1, cfg.num_cores);
         let kind = self.eventq.unwrap_or_else(EventQueueKind::from_env);
-        let (n, is_live) = match &mode {
-            Mode::Live { programs, .. } => (programs.len(), true),
-            Mode::Source { threads, .. } => (*threads, false),
-        };
+        let commit = self.commit.unwrap_or_else(engine_commit_from_env);
         assert!(n >= 1, "no workload threads");
         assert!(
             n <= cfg.num_cores,
             "{n} threads exceed {} cores",
             cfg.num_cores
         );
-        // The structured trace ring is one globally-ordered window; the
-        // host-parallel relaxed executor cannot feed it, so live tracing
-        // runs fall back to lockstep. Engine-only source runs stay
-        // single-threaded in every commit mode and may keep the ring —
-        // this is what lets `lr-replay` exercise the relaxed executor.
-        let mut commit = self.commit.unwrap_or_else(engine_commit_from_env);
-        if trace_depth > 0 && is_live {
-            commit = CommitMode::Lockstep;
-        }
-
-        // Recording is on when explicitly requested (run_recorded) or
-        // when a trace output destination was configured.
-        let trace_out = if is_live { trace_out } else { None };
-        let record = trace_out.is_some() || matches!(mode, Mode::Live { record: true, .. });
 
         let engine = CoherenceEngine::new(&cfg);
         let mem = self.mem;
@@ -934,11 +877,6 @@ impl Machine {
         let lookahead = engine
             .noc_min_lookahead()
             .min(cfg.l2_tag_latency + cfg.l2_data_latency + 1);
-        // The replayer restores this exact image before re-driving ops,
-        // so it must be taken before any simulated execution.
-        let pre_image = record.then(|| mem.snapshot());
-        let sink: Option<RecordSink> =
-            record.then(|| Arc::new(Mutex::new((0..n).map(|_| None).collect())));
         let mut queue = ShardedQueue::with_kind(kind, cfg.num_cores, shards, lookahead);
         // Distance-aware refinement: a pair of partitions exchanges
         // events no faster than the cheapest NoC message between their
@@ -963,44 +901,7 @@ impl Machine {
                 .collect(),
             lc: vec![LeaseCounters::default(); cfg.num_cores],
             prioritization: cfg.lease.prioritization,
-            trace: TraceRing::new(trace_depth),
-        };
-
-        let (transport, handles) = match mode {
-            Mode::Live { programs, .. } => {
-                let mut req_rx: Vec<SlotReceiver<Request>> = Vec::with_capacity(n);
-                let mut reply_tx: Vec<SlotSender<Reply>> = Vec::with_capacity(n);
-                let mut handles = Vec::with_capacity(n);
-                for (tid, f) in programs.into_iter().enumerate() {
-                    let (rtx, rrx) = slot::<Request>();
-                    let (ptx, prx) = slot::<Reply>();
-                    // A worker's reply may be many engine events away (other
-                    // workers' ops are simulated first), so park early instead of
-                    // lingering in the host scheduler's rotation and slowing the
-                    // handoffs of the pair that is making progress. The engine's
-                    // request receiver keeps the default (large) cap: the worker
-                    // it just woke is always the very next sender.
-                    let prx = prx.with_yield_cap(WORKER_YIELD_CAP / n as u32);
-                    let rec = sink.as_ref().map(|s| Recorder::new(s.clone()));
-                    let mut tctx = ThreadCtx::new(
-                        tid,
-                        cfg.instruction_cost,
-                        cfg.lease.clone(),
-                        cfg.seed,
-                        rtx,
-                        prx,
-                        rec,
-                    );
-                    handles.push(std::thread::spawn(move || {
-                        let r = std::panic::catch_unwind(AssertUnwindSafe(|| f(&mut tctx)));
-                        tctx.send_exit(r.is_err());
-                    }));
-                    req_rx.push(rrx);
-                    reply_tx.push(ptx);
-                }
-                (Transport::Live { req_rx, reply_tx }, handles)
-            }
-            Mode::Source { source, .. } => (Transport::Source(source), Vec::new()),
+            trace: TraceRing::new(self.trace_depth),
         };
         // Setup pushes: same-tile sends at t = 0, before any pop — the
         // lookahead discipline never applies to them.
@@ -1015,112 +916,78 @@ impl Machine {
             pctx: (0..parts).map(|_| PartCtx::default()).collect(),
             scratch: (0..parts).map(|_| Scratch::default()).collect(),
             mem,
-            transport,
+            source,
             pending: (0..n).map(|_| None).collect(),
-            live: AtomicUsize::new(n),
-            finish_time: AtomicU64::new(0),
+            live: n,
+            finish_time: 0,
             exit_inst: vec![0u64; n],
             exit_ops: vec![0u64; n],
-            panicked: Mutex::new(Vec::new()),
+            panicked: Vec::new(),
         };
 
         // Any failure inside the event loop — watchdog trip, protocol
         // assertion (panic), divergence or deadlock (Err) — is caught
         // and rendered as one coherent report: the failure reason, the
         // trace window, the in-flight protocol state, and every core's
-        // lease table. Live runs re-raise the report as a panic; source
-        // runs hand it back as a structured `SourceAbort`.
+        // lease table.
         //
-        // Executor choice (N = partitions after clamping):
-        //  * N > 1, relaxed, live   → safe-window batches on N host
-        //    threads, synchronizing only at window boundaries.
-        //  * N > 1, relaxed, source → the same windowed schedule on the
-        //    engine's own thread (replay's commit-mode oracle).
-        //  * N > 1, lockstep, live  → one host thread per partition,
-        //    conservative turn protocol (one event at a time).
-        //  * otherwise              → the classic sequential loop.
-        // All four run the same per-event `apply`; the first two commit
-        // in per-partition window order, the rest in global `(time,
-        // key)` order — and the tile-local state discipline makes the
-        // simulated results byte-identical either way.
+        // Executor choice (N = partitions after clamping): relaxed commit
+        // with N > 1 runs the windowed schedule, everything else the
+        // sequential loop, both on this thread. Both run the same
+        // per-event `apply`; the first commits in per-partition window
+        // order, the second in global `(time, key)` order — and the
+        // tile-local state discipline makes the simulated results
+        // byte-identical either way.
         let relaxed = parts > 1 && commit == CommitMode::Relaxed;
         if relaxed {
             // Mid-flight per-line invariant sweeps read other tiles'
-            // caches — between window barriers that is both racy and
-            // spuriously wrong (a grant can commit before an
-            // earlier-timed invalidation settles in another partition's
-            // batch). Quiescence checks still run in finish_checks.
+            // caches — between window barriers that is spuriously wrong
+            // (a grant can commit before an earlier-timed invalidation
+            // settles in another partition's batch). Quiescence checks
+            // still run in finish_checks.
             core.engine.set_strict_at(false);
         }
-        let loop_result = if relaxed && is_live {
-            run_relaxed_live(&mut core, parts).and_then(|()| {
-                std::panic::catch_unwind(AssertUnwindSafe(|| core.finish_checks()))
-                    .unwrap_or_else(|p| Err(panic_payload_msg(p.as_ref())))
-            })
-        } else if relaxed {
-            let c = &mut core;
-            std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
+        let c = &mut core;
+        let loop_result = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
+            if relaxed {
                 run_relaxed_serial(c)?;
-                c.finish_checks()
-            }))
-            .unwrap_or_else(|p| Err(panic_payload_msg(p.as_ref())))
-        } else if is_live && parts > 1 {
-            run_threaded(&mut core, parts).and_then(|()| {
-                std::panic::catch_unwind(AssertUnwindSafe(|| core.finish_checks()))
-                    .unwrap_or_else(|p| Err(panic_payload_msg(p.as_ref())))
-            })
-        } else {
-            let c = &mut core;
-            std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
+            } else {
                 while let Some((t, p, ev)) = c.shared.queue.pop_global() {
                     c.apply(p, t, ev)?;
                 }
-                c.finish_checks()
-            }))
-            .unwrap_or_else(|p| Err(panic_payload_msg(p.as_ref())))
-        };
-        if let Err(reason) = loop_result {
-            let report = render_failure_report(&reason, &core.shared, &core.engine, &core.pending);
-            if is_live {
-                panic!("{report}");
             }
+            c.finish_checks()
+        }))
+        .unwrap_or_else(|p| Err(panic_payload_msg(p.as_ref())));
+        let reason = match loop_result {
+            Err(reason) => Some(reason),
+            // Same coherent report as a loop failure: the workload panic
+            // is the reason, the protocol state is the context.
+            Ok(()) if !core.panicked.is_empty() => Some(format!(
+                "workload thread(s) {:?} panicked inside the simulation",
+                core.panicked
+            )),
+            Ok(()) => None,
+        };
+        if let Some(reason) = reason {
+            let report = render_failure_report(&reason, &core.shared, &core.engine, &core.pending);
             return Err(Box::new(SourceAbort { reason, report }));
         }
         let EngineCore {
-            cfg,
             engine,
             shared,
             pctx,
-            scratch: _,
             mem,
-            transport,
-            pending,
-            live: _,
             finish_time,
             exit_inst,
             exit_ops,
-            panicked,
+            ..
         } = core;
-        drop(transport);
-
-        for h in handles {
-            let _ = h.join();
-        }
-        let panicked = panicked.into_inner().unwrap_or_else(|e| e.into_inner());
-        if !panicked.is_empty() {
-            // Same coherent report as a loop failure: the worker panic is
-            // the reason, the protocol state is the context.
-            let reason = format!("workload thread(s) {panicked:?} panicked inside the simulation");
-            panic!(
-                "{}",
-                render_failure_report(&reason, &shared, &engine, &pending)
-            );
-        }
 
         let mut info = queue_info(&shared.queue);
         info.alloc_msgs = pctx.iter().map(|c| c.alloc_msgs).sum();
         let mut stats = engine.stats();
-        stats.total_cycles = finish_time.into_inner();
+        stats.total_cycles = finish_time;
         stats.app_ops = exit_ops.iter().sum();
         for (tid, c) in stats.cores.iter_mut().enumerate().take(n) {
             c.instructions += exit_inst[tid];
@@ -1132,48 +999,21 @@ impl Machine {
             c.leases_broken_by_priority += lc.broken;
             c.multileases += lc.multileases;
         }
-
-        let trace = match sink {
-            Some(sink) => {
-                // Workers deposited their streams before sending Exit,
-                // and every Exit has been received, so the sink is full.
-                let mut slots = sink.lock().unwrap_or_else(|e| e.into_inner());
-                let cores: Vec<Vec<OpRecord>> = slots
-                    .iter_mut()
-                    .map(|s| s.take().unwrap_or_default())
-                    .collect();
-                let trace = MachineTrace {
-                    config: cfg.clone(),
-                    mem: pre_image.expect("snapshot taken when recording"),
-                    cores,
-                    stats_json: stats.to_json(),
-                    live_events: info.events,
-                };
-                if let Some(out) = &trace_out {
-                    write_trace_file(out, &trace);
-                }
-                Some(trace)
-            }
-            None => None,
-        };
-        Ok((stats, mem, info, trace))
+        Ok((stats, mem, info))
     }
 }
 
 /// The engine state: protocol, lease tables, event store, simulated
-/// memory, worker transport, and per-core completion bookkeeping.
+/// memory, the op source, and per-core completion bookkeeping.
 ///
 /// Every event goes through [`EngineCore::apply`] with the partition
 /// that owns it, and applying an event touches only state owned by the
 /// event's tile: its queue partition (plus the source-side outbox rows
 /// of the sharded queue), its tiles' engine slices, its cores' lease
-/// tables/counters/pending slots/rendezvous endpoints, its partition's
-/// context and scratch. The relaxed live executor relies on exactly
-/// this — it applies events of *different* partitions concurrently
-/// through a shared pointer, with cross-partition effects riding staged
-/// messages that are only delivered at window boundaries. The few
-/// fields any partition may touch (`live`, `finish_time`, `panicked`)
-/// are synchronized explicitly.
+/// tables/counters/pending slots, its partition's context and scratch.
+/// The relaxed executor relies on exactly this — it applies each
+/// partition's window batch in turn, with cross-partition effects riding
+/// staged messages that are only delivered at window boundaries.
 struct EngineCore<'a> {
     cfg: SystemConfig,
     engine: CoherenceEngine,
@@ -1181,13 +1021,14 @@ struct EngineCore<'a> {
     pctx: Vec<PartCtx>,
     scratch: Vec<Scratch>,
     mem: SimMemory,
-    transport: Transport<'a>,
+    source: &'a mut dyn OpSource,
     pending: Vec<Option<Pending>>,
-    live: AtomicUsize,
-    finish_time: AtomicU64,
+    /// Cores that have not exited yet.
+    live: usize,
+    finish_time: Cycle,
     exit_inst: Vec<u64>,
     exit_ops: Vec<u64>,
-    panicked: Mutex<Vec<usize>>,
+    panicked: Vec<usize>,
 }
 
 impl EngineCore<'_> {
@@ -1315,7 +1156,7 @@ impl EngineCore<'_> {
     /// End-of-run validation, shared by every executor: no thread may
     /// still be blocked, no transaction in flight, invariants hold.
     fn finish_checks(&mut self) -> Result<(), String> {
-        let live = self.live.load(Ordering::Acquire);
+        let live = self.live;
         if live != 0 {
             return Err(format!(
                 "simulation deadlock: event queue drained with {live} threads blocked"
@@ -1382,18 +1223,10 @@ impl EngineCore<'_> {
         }
     }
 
-    /// Block until worker `tid` sends its next instruction (`tid` is the
-    /// only runnable entity of its own pipeline right now). In source
-    /// mode this is a plain function call into the [`OpSource`].
-    ///
-    /// Every executor routes `Start`/`OpComplete` events to `tid`'s own
-    /// tile, so each rendezvous slot keeps a stable receiver thread for
-    /// its whole life (the slot's pinned-consumer requirement): the
-    /// sequential loops always receive on the engine thread, and the
-    /// partitioned executors always receive on the host thread owning
-    /// `tid`'s partition.
+    /// Fetch core `tid`'s next instruction from the op source — for a
+    /// live run, this resumes the core's workload until it issues one.
     fn await_request(&mut self, tid: usize, t: Cycle) -> Result<(), String> {
-        let r = self.transport.recv(tid)?;
+        let r = self.source.next(tid)?;
         debug_assert_eq!(r.tid, tid);
         match r.op {
             Op::Exit {
@@ -1402,15 +1235,12 @@ impl EngineCore<'_> {
                 at,
                 panicked: p,
             } => {
-                self.live.fetch_sub(1, Ordering::AcqRel);
+                self.live -= 1;
                 self.exit_inst[tid] = instructions;
                 self.exit_ops[tid] = ops;
-                self.finish_time.fetch_max(at, Ordering::AcqRel);
+                self.finish_time = self.finish_time.max(at);
                 if p {
-                    self.panicked
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push(tid);
+                    self.panicked.push(tid);
                 }
             }
             op => {
@@ -1635,7 +1465,8 @@ impl EngineCore<'_> {
     }
 
     /// Finish one instruction at its completion time: move data, account
-    /// statistics, wake the worker, and wait for its next instruction.
+    /// statistics, hand the reply to the source, and fetch the core's
+    /// next instruction.
     fn complete_op(&mut self, p: usize, tid: usize, t: Cycle) -> Result<(), String> {
         let pd = self.pending[tid].take().ok_or_else(|| {
             format!("OpComplete for core {tid} at cycle {t} without a pending op")
@@ -1730,7 +1561,7 @@ impl EngineCore<'_> {
             Pending::Incoming(_) => unreachable!("completion before start"),
         };
         self.engine.core_stats_mut(core).mem_stall_cycles += t - issued;
-        self.transport.reply(
+        self.source.observe(
             tid,
             Reply {
                 time: t,
@@ -1742,97 +1573,13 @@ impl EngineCore<'_> {
     }
 }
 
-/// Drive `core` with one host thread per partition under the
-/// conservative lockstep turn protocol: the thread owning the partition
-/// of the globally next event applies it; everyone else waits on the
-/// turn condvar. This pops the exact `(time, key)` sequence of the
-/// sequential loop — one event at a time, under one mutex. It is the
-/// commit-mode A/B reference for [`run_relaxed_live`], and the executor
-/// live traced runs fall back to (the trace ring needs globally ordered
-/// commits).
-///
-/// Worker rendezvous stays sound: core `tid`'s `Start`/`OpComplete`
-/// events are routed to `tid`'s tile, so its request slot is always
-/// received on the same host thread (the slot's receiver affinity
-/// requirement), and blocking in `recv` while holding the turn mutex is
-/// the lockstep invariant — the sending worker is the only runnable
-/// entity, and it never takes this mutex.
-fn run_threaded(core: &mut EngineCore<'_>, shards: usize) -> Result<(), String> {
-    struct Turn<'c, 'a> {
-        core: &'c mut EngineCore<'a>,
-        fail: Option<String>,
-        done: bool,
-    }
-    let turn = Mutex::new(Turn {
-        core,
-        fail: None,
-        done: false,
-    });
-    let cv = Condvar::new();
-    std::thread::scope(|s| {
-        for p in 0..shards {
-            let (turn, cv) = (&turn, &cv);
-            s.spawn(move || {
-                let mut g = turn.lock().unwrap_or_else(|e| e.into_inner());
-                loop {
-                    if g.done || g.fail.is_some() {
-                        break;
-                    }
-                    match g.core.shared.queue.head_partition() {
-                        None => {
-                            g.done = true;
-                            cv.notify_all();
-                            break;
-                        }
-                        Some(q) if q == p => {
-                            let core = &mut *g.core;
-                            // The catch is *inside* the lock so an apply
-                            // panic (watchdog, protocol bug) becomes a
-                            // recorded failure, never a poisoned mutex.
-                            let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                let (t, part, ev) = core
-                                    .shared
-                                    .queue
-                                    .pop_global()
-                                    .expect("head_partition saw an event");
-                                debug_assert_eq!(part, p);
-                                core.apply(part, t, ev)
-                            }));
-                            match res {
-                                Ok(Ok(())) => cv.notify_all(),
-                                Ok(Err(reason)) => {
-                                    g.fail = Some(reason);
-                                    cv.notify_all();
-                                    break;
-                                }
-                                Err(payload) => {
-                                    g.fail = Some(panic_payload_msg(payload.as_ref()));
-                                    cv.notify_all();
-                                    break;
-                                }
-                            }
-                        }
-                        Some(_) => g = cv.wait(g).unwrap_or_else(|e| e.into_inner()),
-                    }
-                }
-            });
-        }
-    });
-    let t = turn.into_inner().unwrap_or_else(|e| e.into_inner());
-    match t.fail {
-        Some(reason) => Err(reason),
-        None => Ok(()),
-    }
-}
-
 /// The relaxed windowed schedule on one host thread: open a safe window
 /// ([`ShardedQueue::begin_window`]), drain every partition's batch in
 /// partition order, repeat. This applies events in a *different order*
 /// than the sequential `pop_global` loop (per-partition batches instead
 /// of global time order) while producing byte-identical simulated
-/// results — the single-threaded oracle for the relaxed commit
-/// discipline, and the executor engine-only (replay) runs use under
-/// relaxed commit.
+/// results. Every run under relaxed commit with more than one
+/// partition uses it, live or engine-only.
 fn run_relaxed_serial(core: &mut EngineCore<'_>) -> Result<(), String> {
     let budget = core.cfg.watchdog_max_events;
     while let Some(bounds) = core.shared.queue.begin_window() {
@@ -1846,160 +1593,6 @@ fn run_relaxed_serial(core: &mut EngineCore<'_>) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Raw shared handle to the engine core for the relaxed live executor.
-///
-/// SAFETY contract (upheld by [`run_relaxed_live`]): between window
-/// barriers, the thread of partition `p` applies only partition-`p`
-/// events, and [`EngineCore::apply`] on such an event touches only
-/// state owned by the event's tile — its queue partition (plus the
-/// source-partition outbox rows and counters of the sharded queue), its
-/// tiles' engine slices, its cores' lease tables/counters/pending
-/// slots/rendezvous endpoints, its partition's context and scratch —
-/// or the explicitly synchronized fields (`live`, `finish_time`,
-/// `panicked`, the atomic page-install path of [`SimMemory`]). The
-/// coordinator touches the core only while every worker is parked at
-/// the barrier; the barrier mutex orders those accesses.
-#[derive(Clone, Copy)]
-struct CorePtr(*mut ());
-
-unsafe impl Send for CorePtr {}
-
-/// Drive `core` with one persistent host thread per partition under
-/// relaxed commit: the coordinator opens a safe window, publishes the
-/// per-partition bounds, and every partition thread commits its whole
-/// batch concurrently with no per-event synchronization — threads meet
-/// only at the generation-counted window barrier. The tile-local event
-/// discipline (see [`EngineCore`]) makes this produce byte-identical
-/// simulated results to the lockstep executors.
-fn run_relaxed_live(core: &mut EngineCore<'_>, shards: usize) -> Result<(), String> {
-    struct WinState {
-        generation: u64,
-        bounds: Vec<Cycle>,
-        remaining: usize,
-        stop: bool,
-        fail: Option<String>,
-    }
-    let budget = core.cfg.watchdog_max_events;
-    let m = Mutex::new(WinState {
-        generation: 0,
-        bounds: Vec::new(),
-        remaining: 0,
-        stop: false,
-        fail: None,
-    });
-    let start = Condvar::new();
-    let done = Condvar::new();
-    let ptr = CorePtr(core as *mut EngineCore<'_> as *mut ());
-    let mut result = Ok(());
-    std::thread::scope(|s| {
-        for p in 0..shards {
-            let (m, start, done) = (&m, &start, &done);
-            // Partition threads persist across all windows, so each
-            // core's rendezvous slot keeps one receiver thread for the
-            // whole run (the slot's pinned-consumer contract). Scope
-            // join is safe even on failure: a worker blocked in `recv`
-            // always returns — its workload thread sends Exit even when
-            // panicking — so every partition reaches the barrier.
-            s.spawn(move || {
-                // Capture the whole Send wrapper, not the raw field
-                // (edition-2021 closures capture disjoint fields).
-                let ptr = ptr;
-                let mut seen = 0u64;
-                loop {
-                    let (bound, skip) = {
-                        let mut g = m.lock().unwrap_or_else(|e| e.into_inner());
-                        while g.generation == seen && !g.stop {
-                            g = start.wait(g).unwrap_or_else(|e| e.into_inner());
-                        }
-                        if g.stop {
-                            return;
-                        }
-                        seen = g.generation;
-                        (g.bounds[p], g.fail.is_some())
-                    };
-                    let res = if skip {
-                        // A sibling already failed: commit nothing, just
-                        // keep the barrier protocol moving to shutdown.
-                        Ok(())
-                    } else {
-                        std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
-                            // SAFETY: see [`CorePtr`] — partition-disjoint
-                            // access between barriers.
-                            let core = unsafe { &mut *(ptr.0 as *mut EngineCore) };
-                            while let Some((t, ev)) = core.shared.queue.pop_bounded(p, bound) {
-                                core.apply(p, t, ev)?;
-                            }
-                            Ok(())
-                        }))
-                        .unwrap_or_else(|pl| Err(panic_payload_msg(pl.as_ref())))
-                    };
-                    let mut g = m.lock().unwrap_or_else(|e| e.into_inner());
-                    if let Err(reason) = res {
-                        if g.fail.is_none() {
-                            g.fail = Some(reason);
-                        }
-                    }
-                    g.remaining -= 1;
-                    if g.remaining == 0 {
-                        done.notify_all();
-                    }
-                }
-            });
-        }
-        loop {
-            // Between windows every worker is parked at the barrier, so
-            // the coordinator has exclusive access to the core.
-            let step = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                // SAFETY: see [`CorePtr`] — exclusive between windows.
-                let core = unsafe { &mut *(ptr.0 as *mut EngineCore) };
-                (
-                    core.shared.queue.begin_window(),
-                    core.shared.queue.processed(),
-                )
-            }));
-            let bounds = match step {
-                Err(pl) => {
-                    result = Err(panic_payload_msg(pl.as_ref()));
-                    None
-                }
-                Ok((_, processed)) if processed > budget => {
-                    result = Err("watchdog: event budget exceeded".to_string());
-                    None
-                }
-                Ok((b, _)) => b,
-            };
-            match bounds {
-                None => {
-                    // Drained (or the coordinator itself failed): stop.
-                    let mut g = m.lock().unwrap_or_else(|e| e.into_inner());
-                    g.stop = true;
-                    drop(g);
-                    start.notify_all();
-                    break;
-                }
-                Some(b) => {
-                    let mut g = m.lock().unwrap_or_else(|e| e.into_inner());
-                    g.generation += 1;
-                    g.bounds = b;
-                    g.remaining = shards;
-                    start.notify_all();
-                    while g.remaining > 0 {
-                        g = done.wait(g).unwrap_or_else(|e| e.into_inner());
-                    }
-                    if let Some(f) = g.fail.take() {
-                        result = Err(f);
-                        g.stop = true;
-                        drop(g);
-                        start.notify_all();
-                        break;
-                    }
-                }
-            }
-        }
-    });
-    result
 }
 
 /// Best-effort extraction of a panic payload's message.

@@ -1,4 +1,4 @@
-//! Worker ⇄ engine lockstep protocol types.
+//! Workload ⇄ engine protocol types.
 
 use lr_sim_core::tracefmt::TraceOp;
 use lr_sim_core::{Addr, Cycle};
@@ -7,8 +7,8 @@ use lr_sim_core::{Addr, Cycle};
 /// `MAX_NUM_LEASES = 8` group size without touching the heap.
 pub const ADDRVEC_INLINE: usize = 8;
 
-/// Small-vector of addresses carried by value through the worker ⇄
-/// engine rendezvous. MultiLease groups up to [`ADDRVEC_INLINE`] lines
+/// Small-vector of addresses carried by value from a workload's
+/// instruction to the engine. MultiLease groups up to [`ADDRVEC_INLINE`] lines
 /// travel inline (no heap allocation per call); larger groups — only
 /// possible with a raised `max_num_leases` — fall back to a `Vec`.
 #[derive(Debug, Clone)]
@@ -54,7 +54,7 @@ impl std::ops::Deref for AddrVec {
 /// instructions).
 pub const ALLOC_COST: Cycle = 30;
 
-/// A simulated instruction issued by a worker.
+/// A simulated instruction issued by a workload.
 #[derive(Debug, Clone)]
 pub enum Op {
     /// 64-bit load.
@@ -83,15 +83,15 @@ pub enum Op {
     Malloc { size: u64, align: u64 },
     /// Heap free.
     Free(Addr),
-    /// The worker's closure finished (normally or by panic).
+    /// The workload finished (normally or by panic).
     Exit {
-        /// Simulated instructions the worker retired (API calls + work).
+        /// Simulated instructions the workload retired (API calls + work).
         instructions: u64,
         /// Application-level operations the workload reported.
         ops: u64,
         /// Local clock at exit.
         at: Cycle,
-        /// True if the closure panicked.
+        /// True if the workload panicked.
         panicked: bool,
     },
 }
@@ -168,21 +168,21 @@ impl Op {
     }
 }
 
-/// Worker → engine message.
+/// Workload → engine message.
 #[derive(Debug)]
 pub struct Request {
-    /// Issuing worker (== core id).
+    /// Issuing core.
     pub tid: usize,
-    /// Worker-local simulated time at which the instruction issues.
+    /// Core-local simulated time at which the instruction issues.
     pub at: Cycle,
     /// The instruction.
     pub op: Op,
 }
 
-/// Engine → worker completion.
+/// Engine → workload completion.
 #[derive(Debug, Clone, Copy)]
 pub struct Reply {
-    /// Simulated completion time; becomes the worker's local clock.
+    /// Simulated completion time; becomes the core's local clock.
     pub time: Cycle,
     /// Operation result value (load data, CAS old value, malloc address).
     pub value: u64,

@@ -2,7 +2,7 @@
 //! lease-pattern robustness under randomized programs, driven by the
 //! in-tree [`SplitMix64`] generator.
 
-use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sim_core::{Addr, SplitMix64};
 use std::sync::{Arc, Mutex};
 
@@ -56,28 +56,30 @@ fn single_thread_memory_is_an_array() {
         let trace2 = trace.clone();
         let ops2 = ops.clone();
         let slots2 = slots.clone();
-        m.run(vec![Box::new(move |ctx: &mut ThreadCtx| {
+        m.run(vec![program(async move |ctx: &mut ThreadCtx| {
             let mut out = Vec::new();
             for op in &ops2 {
                 match *op {
-                    SeqOp::Write { slot, val } => ctx.write(slots2[slot as usize % 8], val),
-                    SeqOp::Read { slot } => out.push(ctx.read(slots2[slot as usize % 8])),
+                    SeqOp::Write { slot, val } => ctx.write(slots2[slot as usize % 8], val).await,
+                    SeqOp::Read { slot } => out.push(ctx.read(slots2[slot as usize % 8]).await),
                     SeqOp::Cas {
                         slot,
                         expected,
                         new,
                     } => {
-                        let (_, old) = ctx.cas_val(slots2[slot as usize % 8], expected, new);
+                        let (_, old) = ctx.cas_val(slots2[slot as usize % 8], expected, new).await;
                         out.push(old);
                     }
                     SeqOp::Faa { slot, delta } => {
-                        out.push(ctx.faa(slots2[slot as usize % 8], delta as u64))
+                        out.push(ctx.faa(slots2[slot as usize % 8], delta as u64).await)
                     }
-                    SeqOp::Xchg { slot, val } => out.push(ctx.xchg(slots2[slot as usize % 8], val)),
+                    SeqOp::Xchg { slot, val } => {
+                        out.push(ctx.xchg(slots2[slot as usize % 8], val).await)
+                    }
                 }
             }
             trace2.lock().unwrap().extend(out);
-        }) as ThreadFn]);
+        })]);
 
         // Reference interpretation.
         let mut model = [0u64; 8];
@@ -142,23 +144,23 @@ fn random_lease_patterns_preserve_counts() {
         let progs: Vec<ThreadFn> = plans
             .into_iter()
             .map(|plan| {
-                Box::new(move |ctx: &mut ThreadCtx| {
+                program(async move |ctx: &mut ThreadCtx| {
                     for (use_lease, dur, forget_release) in plan {
                         loop {
                             if use_lease {
-                                ctx.lease(cell, dur);
+                                ctx.lease(cell, dur).await;
                             }
-                            let v = ctx.read(cell);
-                            let ok = ctx.cas(cell, v, v + 1);
+                            let v = ctx.read(cell).await;
+                            let ok = ctx.cas(cell, v, v + 1).await;
                             if use_lease && !forget_release {
-                                ctx.release(cell);
+                                ctx.release(cell).await;
                             }
                             if ok {
                                 break;
                             }
                         }
                     }
-                }) as ThreadFn
+                })
             })
             .collect();
         let (_, mem) = m.run_with_memory(progs);
@@ -205,23 +207,23 @@ fn random_multilease_groups_terminate_and_are_atomic() {
             .into_iter()
             .map(|plan| {
                 let lines = lines2.clone();
-                Box::new(move |ctx: &mut ThreadCtx| {
+                program(async move |ctx: &mut ThreadCtx| {
                     for group in plan {
                         let addrs: Vec<Addr> = group.iter().map(|&g| lines[g]).collect();
-                        let admitted = ctx.multi_lease(&addrs, ctx.max_lease_time());
+                        let admitted = ctx.multi_lease(&addrs, ctx.max_lease_time()).await;
                         assert!(admitted, "groups of ≤4 fit MAX_NUM_LEASES");
                         // Increment every *distinct* member once.
                         let mut seen = [false; 5];
                         for (&g, &a) in group.iter().zip(&addrs) {
                             if !seen[g] {
                                 seen[g] = true;
-                                let v = ctx.read(a);
-                                ctx.write(a, v + 1);
+                                let v = ctx.read(a).await;
+                                ctx.write(a, v + 1).await;
                             }
                         }
-                        ctx.release_all();
+                        ctx.release_all().await;
                     }
-                }) as ThreadFn
+                })
             })
             .collect();
         let (_, mem) = m.run_with_memory(progs);

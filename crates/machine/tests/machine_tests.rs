@@ -1,7 +1,7 @@
 //! Full-machine behavioural tests: data correctness, lease semantics,
 //! determinism, and timing sanity on the simulated multicore.
 
-use lr_machine::{Machine, SimBarrier, SystemConfig, ThreadFn};
+use lr_machine::{program, Machine, SimBarrier, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sim_core::Addr;
 
 fn cfg(cores: usize) -> SystemConfig {
@@ -12,12 +12,12 @@ fn cfg(cores: usize) -> SystemConfig {
 fn single_thread_read_write() {
     let mut m = Machine::new(cfg(2));
     let a = m.setup(|mem| mem.alloc_line_aligned(8));
-    let stats = m.run(vec![Box::new(move |ctx: &mut lr_machine::ThreadCtx| {
-        assert_eq!(ctx.read(a), 0);
-        ctx.write(a, 42);
-        assert_eq!(ctx.read(a), 42);
+    let stats = m.run(vec![program(async move |ctx: &mut ThreadCtx| {
+        assert_eq!(ctx.read(a).await, 0);
+        ctx.write(a, 42).await;
+        assert_eq!(ctx.read(a).await, 42);
         ctx.count_op();
-    }) as ThreadFn]);
+    })]);
     assert_eq!(stats.app_ops, 1);
     assert!(stats.total_cycles > 0);
     // First read misses (fill in S), the write upgrades (a second miss),
@@ -34,12 +34,12 @@ fn faa_from_many_threads_sums() {
     let a = m.setup(|mem| mem.alloc_line_aligned(8));
     let progs: Vec<ThreadFn> = (0..n)
         .map(|_| {
-            Box::new(move |ctx: &mut lr_machine::ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 for _ in 0..per {
-                    ctx.faa(a, 1);
+                    ctx.faa(a, 1).await;
                     ctx.count_op();
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     let stats = m.run(progs);
@@ -62,14 +62,14 @@ fn final_memory_value_is_visible() {
     let mut progs: Vec<ThreadFn> = Vec::new();
     for tid in 0..n {
         let done = done.clone();
-        progs.push(Box::new(move |ctx| {
+        progs.push(program(async move |ctx: &mut ThreadCtx| {
             for _ in 0..per {
-                ctx.faa(a, 1);
+                ctx.faa(a, 1).await;
             }
             if tid == 0 {
                 // Busy-wait until all increments are visible.
                 loop {
-                    let v = ctx.read(a);
+                    let v = ctx.read(a).await;
                     if v == per * n as u64 {
                         *done.lock().unwrap() = v;
                         break;
@@ -94,18 +94,18 @@ fn cas_contention_is_linearizable() {
     let mut progs: Vec<ThreadFn> = Vec::new();
     for tid in 0..n {
         let final_val = final_val.clone();
-        progs.push(Box::new(move |ctx| {
+        progs.push(program(async move |ctx: &mut ThreadCtx| {
             for _ in 0..per {
                 loop {
-                    let v = ctx.read(a);
-                    if ctx.cas(a, v, v + 1) {
+                    let v = ctx.read(a).await;
+                    if ctx.cas(a, v, v + 1).await {
                         break;
                     }
                 }
             }
             if tid == 0 {
                 loop {
-                    let v = ctx.read(a);
+                    let v = ctx.read(a).await;
                     if v == per * 8 {
                         final_val.store(v, std::sync::atomic::Ordering::Relaxed);
                         break;
@@ -139,19 +139,19 @@ fn lease_protects_read_cas_window() {
     let a = m.setup(|mem| mem.alloc_line_aligned(8));
     let progs: Vec<ThreadFn> = (0..n)
         .map(|_| {
-            Box::new(move |ctx: &mut lr_machine::ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 for _ in 0..per {
                     loop {
-                        ctx.lease_max(a);
-                        let v = ctx.read(a);
-                        let ok = ctx.cas(a, v, v + 1);
-                        ctx.release(a);
+                        ctx.lease_max(a).await;
+                        let v = ctx.read(a).await;
+                        let ok = ctx.cas(a, v, v + 1).await;
+                        ctx.release(a).await;
                         if ok {
                             break;
                         }
                     }
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     let stats = m.run(progs);
@@ -170,16 +170,16 @@ fn unreleased_lease_expires_involuntarily() {
     let mut m = Machine::new(cfg(2));
     let a = m.setup(|mem| mem.alloc_line_aligned(8));
     let progs: Vec<ThreadFn> = vec![
-        Box::new(move |ctx| {
-            ctx.lease(a, 2_000);
-            ctx.write(a, 1);
+        program(async move |ctx: &mut ThreadCtx| {
+            ctx.lease(a, 2_000).await;
+            ctx.write(a, 1).await;
             // Forget to release; spin long past expiry.
             ctx.work(10_000);
         }),
-        Box::new(move |ctx| {
+        program(async move |ctx: &mut ThreadCtx| {
             ctx.work(100); // let thread 0 take the lease first
                            // This read stalls behind the lease until it expires.
-            let v = ctx.read(a);
+            let v = ctx.read(a).await;
             assert_eq!(v, 1);
         }),
     ];
@@ -195,14 +195,14 @@ fn unreleased_lease_expires_involuntarily() {
 fn release_returns_voluntary_flag() {
     let mut m = Machine::new(cfg(2));
     let a = m.setup(|mem| mem.alloc_line_aligned(8));
-    let progs: Vec<ThreadFn> = vec![Box::new(move |ctx| {
-        ctx.lease(a, 1_000);
-        ctx.write(a, 7);
-        assert!(ctx.release(a), "in-time release is voluntary");
-        ctx.lease(a, 50);
+    let progs: Vec<ThreadFn> = vec![program(async move |ctx: &mut ThreadCtx| {
+        ctx.lease(a, 1_000).await;
+        ctx.write(a, 7).await;
+        assert!(ctx.release(a).await, "in-time release is voluntary");
+        ctx.lease(a, 50).await;
         ctx.work(5_000); // outlive the lease
         assert!(
-            !ctx.release(a),
+            !ctx.release(a).await,
             "expired lease: release reports involuntary"
         );
     })];
@@ -222,17 +222,17 @@ fn multi_lease_holds_two_lines_jointly() {
     // the sum a+b must always read 0 modulo in-flight transfers.
     let progs: Vec<ThreadFn> = (0..n)
         .map(|_| {
-            Box::new(move |ctx: &mut lr_machine::ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 for _ in 0..per {
-                    assert!(ctx.multi_lease(&[a, b], ctx.max_lease_time()));
-                    let va = ctx.read(a);
-                    let vb = ctx.read(b);
-                    ctx.write(a, va.wrapping_add(1));
-                    ctx.write(b, vb.wrapping_sub(1));
-                    ctx.release(a); // releases the whole group
+                    assert!(ctx.multi_lease(&[a, b], ctx.max_lease_time()).await);
+                    let va = ctx.read(a).await;
+                    let vb = ctx.read(b).await;
+                    ctx.write(a, va.wrapping_add(1)).await;
+                    ctx.write(b, vb.wrapping_sub(1)).await;
+                    ctx.release(a).await; // releases the whole group
                     ctx.count_op();
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     let stats = m.run(progs);
@@ -252,11 +252,14 @@ fn multi_lease_over_capacity_is_rejected() {
             .map(|_| mem.alloc_line_aligned(8))
             .collect::<Vec<Addr>>()
     });
-    let progs: Vec<ThreadFn> = vec![Box::new(move |ctx| {
-        assert!(!ctx.multi_lease(&addrs, 1000), "3 > MAX_NUM_LEASES = 2");
+    let progs: Vec<ThreadFn> = vec![program(async move |ctx: &mut ThreadCtx| {
+        assert!(
+            !ctx.multi_lease(&addrs, 1000).await,
+            "3 > MAX_NUM_LEASES = 2"
+        );
         // Still works with 2 lines.
-        assert!(ctx.multi_lease(&addrs[..2], 1000));
-        ctx.release_all();
+        assert!(ctx.multi_lease(&addrs[..2], 1000).await);
+        ctx.release_all().await;
     })];
     m.run(progs);
 }
@@ -269,16 +272,16 @@ fn software_multi_lease_works() {
     let (a, b) = m.setup(|mem| (mem.alloc_line_aligned(8), mem.alloc_line_aligned(8)));
     let progs: Vec<ThreadFn> = (0..n)
         .map(|_| {
-            Box::new(move |ctx: &mut lr_machine::ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 for _ in 0..per {
-                    ctx.software_multi_lease(&[a, b], 2_000);
-                    let va = ctx.read(a);
-                    ctx.write(b, va + 1);
-                    ctx.write(a, va + 1);
-                    ctx.software_release_all(&[a, b]);
+                    ctx.software_multi_lease(&[a, b], 2_000).await;
+                    let va = ctx.read(a).await;
+                    ctx.write(b, va + 1).await;
+                    ctx.write(a, va + 1).await;
+                    ctx.software_release_all(&[a, b]).await;
                     ctx.count_op();
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     let stats = m.run(progs);
@@ -293,21 +296,21 @@ fn snapshot_is_consistent_under_writers() {
     let mut progs: Vec<ThreadFn> = Vec::new();
     // Writers keep a == b at all times (update under multilease).
     for _ in 0..2 {
-        progs.push(Box::new(move |ctx| {
+        progs.push(program(async move |ctx: &mut ThreadCtx| {
             for i in 0..30u64 {
-                ctx.multi_lease(&[a, b], ctx.max_lease_time());
-                ctx.write(a, i);
-                ctx.write(b, i);
-                ctx.release(a);
+                ctx.multi_lease(&[a, b], ctx.max_lease_time()).await;
+                ctx.write(a, i).await;
+                ctx.write(b, i).await;
+                ctx.release(a).await;
             }
         }));
     }
     // Snapshotter: every successful snapshot must see a == b.
     let s2 = snaps.clone();
-    progs.push(Box::new(move |ctx| {
+    progs.push(program(async move |ctx: &mut ThreadCtx| {
         let mut got = 0;
         while got < 10 {
-            if let Some(vals) = ctx.snapshot(&[a, b], 5_000) {
+            if let Some(vals) = ctx.snapshot(&[a, b], 5_000).await {
                 assert_eq!(vals[0], vals[1], "snapshot tore: {vals:?}");
                 s2.lock().unwrap().push(vals);
                 got += 1;
@@ -332,16 +335,16 @@ fn barrier_synchronizes_phases() {
         .map(|tid| {
             let flags = flags.clone();
             let mut bar = bar;
-            Box::new(move |ctx: &mut lr_machine::ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 // Phase 1: set my flag.
-                ctx.write(flags[tid], 1);
-                bar.wait(ctx);
+                ctx.write(flags[tid], 1).await;
+                bar.wait(ctx).await;
                 // Phase 2: everyone's flag must be visible.
                 for &f in &flags {
-                    assert_eq!(ctx.read(f), 1, "barrier did not separate phases");
+                    assert_eq!(ctx.read(f).await, 1, "barrier did not separate phases");
                 }
-                bar.wait(ctx);
-            }) as ThreadFn
+                bar.wait(ctx).await;
+            })
         })
         .collect();
     m.run(progs);
@@ -354,18 +357,18 @@ fn deterministic_same_seed_same_stats() {
         let a = m.setup(|mem| mem.alloc_line_aligned(8));
         let progs: Vec<ThreadFn> = (0..8)
             .map(|_| {
-                Box::new(move |ctx: &mut lr_machine::ThreadCtx| {
+                program(async move |ctx: &mut ThreadCtx| {
                     for _ in 0..40 {
                         loop {
-                            let v = ctx.read(a);
-                            if ctx.cas(a, v, v + 1) {
+                            let v = ctx.read(a).await;
+                            if ctx.cas(a, v, v + 1).await {
                                 break;
                             }
                         }
                         let spin = ctx.rng().next_u64() % 64;
                         ctx.work(spin);
                     }
-                }) as ThreadFn
+                })
             })
             .collect();
         m.run(progs).summary()
@@ -378,12 +381,12 @@ fn deterministic_same_seed_same_stats() {
 fn work_advances_time_without_traffic() {
     let mut m = Machine::new(cfg(1));
     let a = m.setup(|mem| mem.alloc_line_aligned(8));
-    let progs: Vec<ThreadFn> = vec![Box::new(move |ctx| {
-        ctx.read(a);
+    let progs: Vec<ThreadFn> = vec![program(async move |ctx: &mut ThreadCtx| {
+        ctx.read(a).await;
         let t0 = ctx.now();
         ctx.work(1234);
         assert_eq!(ctx.now(), t0 + 1234);
-        ctx.read(a);
+        ctx.read(a).await;
     })];
     let stats = m.run(progs);
     assert_eq!(stats.cores[0].l1_misses, 1);
@@ -395,8 +398,8 @@ fn work_advances_time_without_traffic() {
 fn worker_panic_is_propagated() {
     let mut m = Machine::new(cfg(2));
     let a = m.setup(|mem| mem.alloc_line_aligned(8));
-    let progs: Vec<ThreadFn> = vec![Box::new(move |ctx| {
-        ctx.read(a);
+    let progs: Vec<ThreadFn> = vec![program(async move |ctx: &mut ThreadCtx| {
+        ctx.read(a).await;
         panic!("workload bug");
     })];
     m.run(progs);
@@ -405,20 +408,20 @@ fn worker_panic_is_propagated() {
 #[test]
 fn worker_panic_while_holding_lease_reports_coherently() {
     // Thread 0 panics while holding a lease that thread 1 is queued
-    // behind: the engine must tear the run down (no hang on the parked
-    // rendezvous slots) and raise one coherent failure report naming
+    // behind: the engine must tear the run down (no hang on the stalled
+    // core) and raise one coherent failure report naming
     // the panicking thread, with the protocol state attached.
     let mut m = Machine::new(cfg(2)).with_trace(64);
     let a = m.setup(|mem| mem.alloc_line_aligned(8));
     let progs: Vec<ThreadFn> = vec![
-        Box::new(move |ctx| {
-            ctx.lease(a, 20_000);
-            ctx.write(a, 1);
+        program(async move |ctx: &mut ThreadCtx| {
+            ctx.lease(a, 20_000).await;
+            ctx.write(a, 1).await;
             panic!("workload bug under lease");
         }),
-        Box::new(move |ctx| {
+        program(async move |ctx: &mut ThreadCtx| {
             ctx.work(200); // queue behind thread 0's lease
-            ctx.write(a, 2);
+            ctx.write(a, 2).await;
             ctx.work(50_000);
         }),
     ];
@@ -447,14 +450,14 @@ fn prioritization_lets_regular_requests_break_leases() {
         let when = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
         let when2 = when.clone();
         let progs: Vec<ThreadFn> = vec![
-            Box::new(move |ctx: &mut lr_machine::ThreadCtx| {
-                ctx.lease(a, 20_000);
-                ctx.write(a, 1);
+            program(async move |ctx: &mut ThreadCtx| {
+                ctx.lease(a, 20_000).await;
+                ctx.write(a, 1).await;
                 ctx.work(30_000); // camp past the other thread's store
             }),
-            Box::new(move |ctx: &mut lr_machine::ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 ctx.work(200); // let thread 0 take the lease
-                ctx.write(a, 2);
+                ctx.write(a, 2).await;
                 when2.store(ctx.now(), std::sync::atomic::Ordering::Relaxed);
             }),
         ];
@@ -485,19 +488,19 @@ fn mesi_machine_run_matches_msi_semantics() {
         let a = m.setup(|mem| mem.alloc_line_aligned(8));
         let progs: Vec<ThreadFn> = (0..4)
             .map(|_| {
-                Box::new(move |ctx: &mut lr_machine::ThreadCtx| {
+                program(async move |ctx: &mut ThreadCtx| {
                     for _ in 0..30 {
                         loop {
-                            ctx.lease_max(a);
-                            let v = ctx.read(a);
-                            let ok = ctx.cas(a, v, v + 1);
-                            ctx.release(a);
+                            ctx.lease_max(a).await;
+                            let v = ctx.read(a).await;
+                            let ok = ctx.cas(a, v, v + 1).await;
+                            ctx.release(a).await;
                             if ok {
                                 break;
                             }
                         }
                     }
-                }) as ThreadFn
+                })
             })
             .collect();
         let (stats, mem) = m.run_with_memory(progs);
@@ -518,12 +521,12 @@ fn mesi_avoids_upgrade_misses_single_thread() {
         config.protocol = protocol;
         let mut m = Machine::new(config);
         let cells: Vec<Addr> = m.setup(|mem| (0..16).map(|_| mem.alloc_line_aligned(8)).collect());
-        let progs: Vec<ThreadFn> = vec![Box::new(move |ctx| {
+        let progs: Vec<ThreadFn> = vec![program(async move |ctx: &mut ThreadCtx| {
             // Read-then-write every cell: MSI pays an upgrade per cell,
             // MESI does not.
             for &c in &cells {
-                let v = ctx.read(c);
-                ctx.write(c, v + 1);
+                let v = ctx.read(c).await;
+                ctx.write(c, v + 1).await;
             }
         })];
         let stats = m.run(progs);
@@ -538,17 +541,17 @@ fn mesi_avoids_upgrade_misses_single_thread() {
 #[test]
 fn malloc_and_free_roundtrip() {
     let m = Machine::new(cfg(1));
-    let progs: Vec<ThreadFn> = vec![Box::new(move |ctx| {
-        let p = ctx.malloc_line(16);
+    let progs: Vec<ThreadFn> = vec![program(async move |ctx: &mut ThreadCtx| {
+        let p = ctx.malloc_line(16).await;
         assert!(!p.is_null());
         assert_eq!(p.line_offset(), 0);
-        ctx.write(p, 5);
-        ctx.write(p.offset(8), 6);
-        assert_eq!(ctx.read(p), 5);
-        assert_eq!(ctx.read(p.offset(8)), 6);
-        ctx.free(p);
-        let q = ctx.malloc_line(16);
-        assert_eq!(ctx.read(q), 0, "recycled memory must be zeroed");
+        ctx.write(p, 5).await;
+        ctx.write(p.offset(8), 6).await;
+        assert_eq!(ctx.read(p).await, 5);
+        assert_eq!(ctx.read(p.offset(8)).await, 6);
+        ctx.free(p).await;
+        let q = ctx.malloc_line(16).await;
+        assert_eq!(ctx.read(q).await, 0, "recycled memory must be zeroed");
     })];
     m.run(progs);
 }
@@ -562,12 +565,12 @@ fn watchdog_trip_emits_structured_failure_report() {
     config.watchdog_max_cycles = 20_000;
     let mut m = Machine::new(config).with_trace(64);
     let a = m.setup(|mem| mem.alloc_line_aligned(8));
-    let progs: Vec<ThreadFn> = vec![Box::new(move |ctx| {
+    let progs: Vec<ThreadFn> = vec![program(async move |ctx: &mut ThreadCtx| {
         // Hold a lease (so the report has lease-table content) and spin
         // past the watchdog limit.
-        ctx.lease(a, 1_000_000);
+        ctx.lease(a, 1_000_000).await;
         loop {
-            ctx.read(a);
+            ctx.read(a).await;
             ctx.work(100);
         }
     })];
@@ -597,11 +600,11 @@ fn trace_ring_buffer_does_not_perturb_results() {
         let a = m.setup(|mem| mem.alloc_line_aligned(8));
         let progs: Vec<ThreadFn> = (0..4)
             .map(|_| {
-                Box::new(move |ctx: &mut lr_machine::ThreadCtx| {
+                program(async move |ctx: &mut ThreadCtx| {
                     for _ in 0..20 {
-                        ctx.faa(a, 1);
+                        ctx.faa(a, 1).await;
                     }
-                }) as ThreadFn
+                })
             })
             .collect();
         m.run(progs).summary()
@@ -627,12 +630,12 @@ fn single_socket_stats_ignore_socket_knobs() {
         let a = m.setup(|mem| mem.alloc_line_aligned(8));
         let progs: Vec<ThreadFn> = (0..8)
             .map(|_| {
-                Box::new(move |ctx: &mut lr_machine::ThreadCtx| {
+                program(async move |ctx: &mut ThreadCtx| {
                     for _ in 0..25 {
-                        ctx.faa(a, 1);
+                        ctx.faa(a, 1).await;
                         ctx.count_op();
                     }
-                }) as ThreadFn
+                })
             })
             .collect();
         m.run(progs)
@@ -662,4 +665,36 @@ fn single_socket_stats_ignore_socket_knobs() {
     );
     // (Message *counts* may shift with the interleaving; only the
     // latency signature is asserted.)
+}
+
+#[test]
+fn workload_suspending_without_an_op_is_a_structured_failure() {
+    // Core 1 awaits a future that is not a simulated instruction: it
+    // suspends without posting an op. The engine cannot make progress
+    // on that core, so the run must end in one failure report naming
+    // the core — never a hang or a spin.
+    let mut m = Machine::new(cfg(2)).with_trace(16);
+    let a = m.setup(|mem| mem.alloc_line_aligned(8));
+    let progs: Vec<ThreadFn> = vec![
+        program(async move |ctx: &mut ThreadCtx| {
+            ctx.faa(a, 1).await;
+        }),
+        program(async move |ctx: &mut ThreadCtx| {
+            ctx.faa(a, 1).await;
+            std::future::pending::<()>().await;
+        }),
+    ];
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.run(progs)))
+        .expect_err("a stalled workload must fail the run");
+    let msg = payload
+        .downcast_ref::<String>()
+        .cloned()
+        .expect("report is a String payload");
+    assert_eq!(msg.matches("simulation failure report").count(), 1, "{msg}");
+    assert!(msg.contains("reason: core 1:"), "{msg}");
+    assert!(
+        msg.contains("without issuing a simulated instruction"),
+        "{msg}"
+    );
+    assert!(msg.contains("-- pending ops --"), "{msg}");
 }

@@ -1,4 +1,4 @@
-use lr_machine::{Machine, SystemConfig, ThreadFn};
+use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 
 #[test]
 fn two_threads_one_multilease_each() {
@@ -6,12 +6,12 @@ fn two_threads_one_multilease_each() {
     let (a, b) = m.setup(|mem| (mem.alloc_line_aligned(8), mem.alloc_line_aligned(8)));
     let progs: Vec<ThreadFn> = (0..2)
         .map(|_| {
-            Box::new(move |ctx: &mut lr_machine::ThreadCtx| {
-                assert!(ctx.multi_lease(&[a, b], 5_000));
-                let va = ctx.read(a);
-                ctx.write(a, va + 1);
-                ctx.release(a);
-            }) as ThreadFn
+            program(async move |ctx: &mut ThreadCtx| {
+                assert!(ctx.multi_lease(&[a, b], 5_000).await);
+                let va = ctx.read(a).await;
+                ctx.write(a, va + 1).await;
+                ctx.release(a).await;
+            })
         })
         .collect();
     m.run(progs);
@@ -26,16 +26,16 @@ fn four_threads_iterated_multilease() {
         let (a2, b2) = m2.setup(|mem| (mem.alloc_line_aligned(8), mem.alloc_line_aligned(8)));
         let progs: Vec<ThreadFn> = (0..4)
             .map(|_| {
-                Box::new(move |ctx: &mut lr_machine::ThreadCtx| {
+                program(async move |ctx: &mut ThreadCtx| {
                     for _ in 0..iters {
-                        assert!(ctx.multi_lease(&[a2, b2], ctx.max_lease_time()));
-                        let va = ctx.read(a2);
-                        let vb = ctx.read(b2);
-                        ctx.write(a2, va.wrapping_add(1));
-                        ctx.write(b2, vb.wrapping_sub(1));
-                        ctx.release(a2);
+                        assert!(ctx.multi_lease(&[a2, b2], ctx.max_lease_time()).await);
+                        let va = ctx.read(a2).await;
+                        let vb = ctx.read(b2).await;
+                        ctx.write(a2, va.wrapping_add(1)).await;
+                        ctx.write(b2, vb.wrapping_sub(1)).await;
+                        ctx.release(a2).await;
                     }
-                }) as ThreadFn
+                })
             })
             .collect();
         eprintln!("iters={iters}");

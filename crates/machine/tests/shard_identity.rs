@@ -1,10 +1,10 @@
 //! Partitioned-engine determinism: the same workload run under 1, 2,
 //! and 4 engine partitions must produce byte-identical results — same
 //! stats JSON, same recorded trace bytes, same event count, same final
-//! memory. The partition count selects the executor (single loop vs
-//! one host thread per partition); it must never select the outcome.
+//! memory. The partition count shapes the executor's schedule; it must
+//! never select the outcome.
 
-use lr_machine::{CommitMode, Machine, SystemConfig, ThreadFn};
+use lr_machine::{program, CommitMode, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sim_core::tracefmt;
 
 /// A contended lease/CAS counter plus FAA side traffic across 8 cores:
@@ -12,25 +12,25 @@ use lr_sim_core::tracefmt;
 fn programs(n: usize, a: lr_sim_core::Addr, b: lr_sim_core::Addr) -> Vec<ThreadFn> {
     (0..n)
         .map(|tid| {
-            Box::new(move |ctx: &mut lr_machine::ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 for i in 0..40 {
                     if tid % 2 == 0 {
                         loop {
-                            ctx.lease_max(a);
-                            let v = ctx.read(a);
-                            let ok = ctx.cas(a, v, v + 1);
-                            ctx.release(a);
+                            ctx.lease_max(a).await;
+                            let v = ctx.read(a).await;
+                            let ok = ctx.cas(a, v, v + 1).await;
+                            ctx.release(a).await;
                             if ok {
                                 break;
                             }
                         }
                     } else {
-                        ctx.faa(a, 1);
+                        ctx.faa(a, 1).await;
                     }
-                    ctx.faa(b, tid as u64 + i);
+                    ctx.faa(b, tid as u64 + i).await;
                     ctx.count_op();
                 }
-            }) as ThreadFn
+            })
         })
         .collect()
 }
@@ -70,11 +70,10 @@ fn shard_counts_1_2_4_are_byte_identical() {
 }
 
 /// The commit mode selects the *schedule* (one event at a time vs
-/// whole safe-window batches on concurrent host threads), never the
-/// outcome: for every shard count, the relaxed executor's merged
-/// statistics, event count, and final memory are byte-identical to the
-/// sequential lockstep run. Tracing is off so the relaxed live
-/// executor actually engages (live tracing forces lockstep).
+/// whole safe-window batches per partition), never the outcome: for
+/// every shard count, the relaxed executor's merged statistics, event
+/// count, and final memory are byte-identical to the sequential
+/// lockstep run.
 #[test]
 fn commit_modes_are_byte_identical_across_shard_counts() {
     let run = |shards: usize, commit: CommitMode| {
@@ -122,12 +121,12 @@ fn engine_info_reports_partition_shape_and_clamps() {
         let a = m.setup(|mem| mem.alloc_line_aligned(8));
         let progs: Vec<ThreadFn> = (0..4)
             .map(|_| {
-                Box::new(move |ctx: &mut lr_machine::ThreadCtx| {
+                program(async move |ctx: &mut ThreadCtx| {
                     for _ in 0..10 {
-                        ctx.faa(a, 1);
+                        ctx.faa(a, 1).await;
                         ctx.count_op();
                     }
-                }) as ThreadFn
+                })
             })
             .collect();
         m.run_counted_info(progs)

@@ -2,7 +2,7 @@
 //! share a directory (the `--jobs N` sweep case) must never silently
 //! overwrite each other's traces, and every written file must decode.
 
-use lr_machine::{Machine, SystemConfig, ThreadFn};
+use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sim_core::tracefmt;
 use std::path::PathBuf;
 
@@ -30,12 +30,12 @@ fn recording_run(dir: &std::path::Path, label: &str) {
     let a = m.setup(|mem| mem.alloc_line_aligned(8));
     let progs: Vec<ThreadFn> = (0..2)
         .map(|_| {
-            Box::new(move |ctx: &mut lr_machine::ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 for _ in 0..4 {
-                    ctx.faa(a, 1);
+                    ctx.faa(a, 1).await;
                     ctx.count_op();
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     m.run(progs);

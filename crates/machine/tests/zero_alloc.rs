@@ -8,7 +8,7 @@
 //! This file holds a single test on purpose — the counting allocator is
 //! global, so a concurrently running test would perturb the count.
 
-use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -39,12 +39,12 @@ static A: Counting = Counting;
 fn allocs_for(ops: u64) -> u64 {
     let mut m = Machine::new(SystemConfig::with_cores(2));
     let (a, b) = m.setup(|mem| (mem.alloc_line_aligned(8), mem.alloc_line_aligned(8)));
-    let progs: Vec<ThreadFn> = vec![Box::new(move |ctx: &mut ThreadCtx| {
+    let progs: Vec<ThreadFn> = vec![program(async move |ctx: &mut ThreadCtx| {
         for i in 0..ops {
-            ctx.faa(a, 1);
-            ctx.write(b, i);
-            ctx.read(b);
-            ctx.cas(a, i + 1, i + 1);
+            ctx.faa(a, 1).await;
+            ctx.write(b, i).await;
+            ctx.read(b).await;
+            ctx.cas(a, i + 1, i + 1).await;
             ctx.count_op();
         }
     })];

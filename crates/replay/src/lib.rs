@@ -2,14 +2,13 @@
 //!
 //! Deterministic replay of recorded simulations, engine-only.
 //!
-//! A live run captures every simulated instruction at the
-//! worker⇄engine rendezvous boundary ([`Machine::run_recorded`] or
-//! `Machine::with_trace_output`). Because the lockstep runtime's only
-//! inputs are
+//! A live run captures every simulated instruction where the engine
+//! takes it from the workload ([`Machine::run_recorded`] or
+//! `Machine::with_trace_output`). Because the engine's only inputs are
 //! each core's issue times and operands — all recorded — feeding the
-//! streams back into the engine from a single thread reproduces the
-//! *exact* event sequence of the live run: no worker OS threads, no
-//! rendezvous handoffs, no parking. [`replay`] does exactly that and
+//! streams back into the engine through an [`OpSource`] reproduces the
+//! *exact* event sequence of the live run without running any workload
+//! code. [`replay`] does exactly that and
 //! [`verify`] additionally requires the reproduced `MachineStats` to be
 //! byte-for-byte identical to the recording.
 //!
@@ -266,7 +265,7 @@ pub fn replay_with_config(trace: &MachineTrace, cfg: SystemConfig) -> ReplayOutc
 fn replay_inner(trace: &MachineTrace, cfg: SystemConfig, variant: EngineVariant) -> ReplayOutcome {
     if trace.cores.is_empty()
         || cfg.num_cores < 1
-        || cfg.num_cores > 64
+        || cfg.num_cores > Machine::MAX_CORES
         || trace.cores.len() > cfg.num_cores
     {
         return ReplayOutcome::Diverged(Box::new(Divergence {
@@ -480,7 +479,7 @@ pub fn verify_file_with(path: &Path, variant: EngineVariant) -> Result<VerifiedT
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_machine::{ThreadCtx, ThreadFn};
+    use lr_machine::{program, ThreadCtx, ThreadFn};
 
     /// A lease-contended counter recording: every lease/CAS/release path
     /// plus allocation, exercised under real inter-core contention.
@@ -489,20 +488,20 @@ mod tests {
         let cell = machine.setup(|m| m.alloc_line_aligned(8));
         let progs: Vec<ThreadFn> = (0..threads)
             .map(|_| {
-                Box::new(move |ctx: &mut ThreadCtx| {
+                program(async move |ctx: &mut ThreadCtx| {
                     for _ in 0..iters {
                         loop {
-                            ctx.lease_max(cell);
-                            let v = ctx.read(cell);
-                            let ok = ctx.cas(cell, v, v + 1);
-                            ctx.release(cell);
+                            ctx.lease_max(cell).await;
+                            let v = ctx.read(cell).await;
+                            let ok = ctx.cas(cell, v, v + 1).await;
+                            ctx.release(cell).await;
                             if ok {
                                 break;
                             }
                         }
                         ctx.count_op();
                     }
-                }) as ThreadFn
+                })
             })
             .collect();
         machine.run_recorded(progs).trace

@@ -8,7 +8,7 @@
 //!
 //! [`OpRecord`]: lr_sim_core::tracefmt::OpRecord
 
-use lr_machine::{EventQueueKind, Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{program, EventQueueKind, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use lr_replay::{replay, verify, verify_with_queue, ReplayOutcome};
 use lr_sim_core::tracefmt::{MachineTrace, TraceOp};
 
@@ -20,20 +20,20 @@ fn record(threads: usize, iters: u64) -> MachineTrace {
     let cell = machine.setup(|m| m.alloc_line_aligned(8));
     let progs: Vec<ThreadFn> = (0..threads)
         .map(|_| {
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 for _ in 0..iters {
                     loop {
-                        ctx.lease_max(cell);
-                        let v = ctx.read(cell);
-                        let ok = ctx.cas(cell, v, v + 1);
-                        ctx.release(cell);
+                        ctx.lease_max(cell).await;
+                        let v = ctx.read(cell).await;
+                        let ok = ctx.cas(cell, v, v + 1).await;
+                        ctx.release(cell).await;
                         if ok {
                             break;
                         }
                     }
                     ctx.count_op();
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     machine.run_recorded(progs).trace

@@ -10,7 +10,7 @@
 //! Regenerate deliberately (after an intentional behaviour change) with
 //! `LR_REGEN_GOLDEN=1 cargo test -p lr-replay --test golden`.
 
-use lr_machine::{Machine, SimBarrier, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{program, Machine, SimBarrier, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sim_core::tracefmt::{self, MachineTrace, TraceOp};
 use std::path::PathBuf;
 
@@ -36,32 +36,32 @@ fn record_golden() -> MachineTrace {
     let progs: Vec<ThreadFn> = (0..2)
         .map(|tid| {
             let mut barrier = barrier;
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 for i in 0..12u64 {
                     loop {
-                        ctx.lease_max(cell);
-                        let v = ctx.read(cell);
-                        let ok = ctx.cas(cell, v, v + 1);
-                        ctx.release(cell);
+                        ctx.lease_max(cell).await;
+                        let v = ctx.read(cell).await;
+                        let ok = ctx.cas(cell, v, v + 1).await;
+                        ctx.release(cell).await;
                         if ok {
                             break;
                         }
                     }
-                    ctx.faa(pair[0], i);
+                    ctx.faa(pair[0], i).await;
                     ctx.count_op();
                 }
-                barrier.wait(ctx);
-                if ctx.multi_lease(&[pair[0], pair[1]], 400) {
-                    let a = ctx.read(pair[0]);
-                    ctx.write(pair[1], a + tid as u64);
-                    ctx.release_all();
+                barrier.wait(ctx).await;
+                if ctx.multi_lease(&[pair[0], pair[1]], 400).await {
+                    let a = ctx.read(pair[0]).await;
+                    ctx.write(pair[1], a + tid as u64).await;
+                    ctx.release_all().await;
                 }
-                let scratch = ctx.malloc_line(64);
-                ctx.write(scratch, 0xabc);
-                ctx.xchg(scratch, 0xdef);
-                ctx.free(scratch);
+                let scratch = ctx.malloc_line(64).await;
+                ctx.write(scratch, 0xabc).await;
+                ctx.xchg(scratch, 0xdef).await;
+                ctx.free(scratch).await;
                 ctx.count_op();
-            }) as ThreadFn
+            })
         })
         .collect();
     machine.run_recorded(progs).trace

@@ -4,13 +4,12 @@
 //! A [`MachineTrace`] is a *self-contained* capture of one simulation:
 //! the full [`SystemConfig`] it ran under, the pre-run memory image
 //! (heap contents + allocator state), one [`OpRecord`] stream per core
-//! taken at the worker⇄engine rendezvous boundary, and the live run's
+//! taken where the engine receives each instruction, and the live run's
 //! final `MachineStats` JSON for byte-for-byte verification. Feeding
-//! the recorded streams back into the engine from a single thread
-//! reproduces the exact event sequence of the live run — no worker
-//! threads, no rendezvous handoffs — because the lockstep runtime's
-//! only inputs are (per-core) the issue time and operands of each
-//! instruction, all of which are recorded.
+//! the recorded streams back into the engine reproduces the exact event
+//! sequence of the live run without running any workload code, because
+//! the engine's only inputs are (per-core) the issue time and operands
+//! of each instruction, all of which are recorded.
 //!
 //! ## Encoding
 //!

@@ -79,35 +79,41 @@ impl Tl2 {
 
     /// Read an object's committed value outside any transaction
     /// (spins while the object is locked).
-    pub fn read_committed(&self, ctx: &mut ThreadCtx, i: usize) -> u64 {
+    pub async fn read_committed(&self, ctx: &mut ThreadCtx, i: usize) -> u64 {
         let obj = self.objects[i];
         loop {
-            let l1 = ctx.read(obj.offset(OBJ_LOCK));
+            let l1 = ctx.read(obj.offset(OBJ_LOCK)).await;
             if l1 & 1 == 1 {
                 ctx.work(16);
                 continue;
             }
-            let v = ctx.read(obj.offset(OBJ_VALUE));
-            let l2 = ctx.read(obj.offset(OBJ_LOCK));
+            let v = ctx.read(obj.offset(OBJ_VALUE)).await;
+            let l2 = ctx.read(obj.offset(OBJ_LOCK)).await;
             if l1 == l2 {
                 return v;
             }
         }
     }
 
-    fn try_lock_obj(ctx: &mut ThreadCtx, obj: Addr) -> Option<u64> {
-        let l = ctx.read(obj.offset(OBJ_LOCK));
+    async fn try_lock_obj(ctx: &mut ThreadCtx, obj: Addr) -> Option<u64> {
+        let l = ctx.read(obj.offset(OBJ_LOCK)).await;
         if l & 1 == 1 {
             return None;
         }
-        ctx.cas(obj.offset(OBJ_LOCK), l, l | 1).then_some(l)
+        ctx.cas(obj.offset(OBJ_LOCK), l, l | 1).await.then_some(l)
     }
 
     /// Run one read-modify-write transaction over objects `i` and `j`
     /// (`i != j`), applying `value += delta` to both. Returns abort
     /// counts. Always commits eventually (bounded exponential pause
     /// between retries).
-    pub fn transact_pair(&self, ctx: &mut ThreadCtx, i: usize, j: usize, delta: u64) -> TxStats {
+    pub async fn transact_pair(
+        &self,
+        ctx: &mut ThreadCtx,
+        i: usize,
+        j: usize,
+        delta: u64,
+    ) -> TxStats {
         assert!(i != j);
         let mut stats = TxStats::default();
         // Global acquisition order: by address (as MultiLease requires).
@@ -130,35 +136,36 @@ impl Tl2 {
             // the abort rate").
             match self.variant {
                 Tl2Variant::Base => {}
-                Tl2Variant::SingleLease => ctx.lease_max(lock_addrs[0]),
+                Tl2Variant::SingleLease => ctx.lease_max(lock_addrs[0]).await,
                 Tl2Variant::HwMultiLease => {
-                    ctx.multi_lease(&lock_addrs, ctx.max_lease_time());
+                    ctx.multi_lease(&lock_addrs, ctx.max_lease_time()).await;
                 }
                 Tl2Variant::SwMultiLease => {
                     ctx.software_multi_lease(&lock_addrs, ctx.max_lease_time())
+                        .await
                 }
             }
 
             let committed = 'attempt: {
                 // Acquire both write locks in global order; the paper's
                 // benchmark aborts iff an acquisition fails.
-                let Some(la) = Self::try_lock_obj(ctx, a) else {
+                let Some(la) = Self::try_lock_obj(ctx, a).await else {
                     break 'attempt false;
                 };
-                let Some(lb) = Self::try_lock_obj(ctx, b) else {
-                    ctx.write(a.offset(OBJ_LOCK), la); // roll back a's lock
+                let Some(lb) = Self::try_lock_obj(ctx, b).await else {
+                    ctx.write(a.offset(OBJ_LOCK), la).await; // roll back a's lock
                     break 'attempt false;
                 };
                 // Commit: bump the global clock, write values, stamp
                 // versions, release the locks.
-                let wv = ctx.faa(self.clock, 1) + 1;
-                let na = ctx.read(a.offset(OBJ_VALUE)).wrapping_add(delta);
-                let nb = ctx.read(b.offset(OBJ_VALUE)).wrapping_add(delta);
-                ctx.write(a.offset(OBJ_VALUE), na);
-                ctx.write(b.offset(OBJ_VALUE), nb);
+                let wv = ctx.faa(self.clock, 1).await + 1;
+                let na = ctx.read(a.offset(OBJ_VALUE)).await.wrapping_add(delta);
+                let nb = ctx.read(b.offset(OBJ_VALUE)).await.wrapping_add(delta);
+                ctx.write(a.offset(OBJ_VALUE), na).await;
+                ctx.write(b.offset(OBJ_VALUE), nb).await;
                 let _ = lb;
-                ctx.write(b.offset(OBJ_LOCK), wv << 1);
-                ctx.write(a.offset(OBJ_LOCK), wv << 1);
+                ctx.write(b.offset(OBJ_LOCK), wv << 1).await;
+                ctx.write(a.offset(OBJ_LOCK), wv << 1).await;
                 true
             };
 
@@ -166,10 +173,10 @@ impl Tl2 {
             match self.variant {
                 Tl2Variant::Base => {}
                 Tl2Variant::SingleLease => {
-                    ctx.release(lock_addrs[0]);
+                    ctx.release(lock_addrs[0]).await;
                 }
-                Tl2Variant::HwMultiLease => ctx.release_all(),
-                Tl2Variant::SwMultiLease => ctx.software_release_all(&lock_addrs),
+                Tl2Variant::HwMultiLease => ctx.release_all().await,
+                Tl2Variant::SwMultiLease => ctx.software_release_all(&lock_addrs).await,
             }
 
             if committed {
@@ -185,7 +192,7 @@ impl Tl2 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_machine::{Machine, SystemConfig, ThreadFn};
+    use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 
     fn run_variant(variant: Tl2Variant) -> (u64, u64) {
         let n_threads = 4;
@@ -201,7 +208,7 @@ mod tests {
             let sum = sum.clone();
             let aborts = aborts.clone();
             let tl2_check = tl2_check.clone();
-            progs.push(Box::new(move |ctx| {
+            progs.push(program(async move |ctx: &mut ThreadCtx| {
                 let mut local_aborts = 0;
                 for _ in 0..per {
                     let i = ctx.rng().gen_range(0..10);
@@ -209,7 +216,7 @@ mod tests {
                     while j == i {
                         j = ctx.rng().gen_range(0..10);
                     }
-                    local_aborts += tl2.transact_pair(ctx, i, j, 1).aborts;
+                    local_aborts += tl2.transact_pair(ctx, i, j, 1).await.aborts;
                     ctx.count_op();
                 }
                 aborts.fetch_add(local_aborts, std::sync::atomic::Ordering::Relaxed);
@@ -217,7 +224,10 @@ mod tests {
                     // Wait for global quiescence, then audit the values:
                     // each committed transaction adds exactly 2.
                     loop {
-                        let total: u64 = (0..10).map(|k| tl2_check.read_committed(ctx, k)).sum();
+                        let mut total = 0u64;
+                        for k in 0..10 {
+                            total += tl2_check.read_committed(ctx, k).await;
+                        }
                         if total == 2 * per * n_threads as u64 {
                             sum.store(total, std::sync::atomic::Ordering::Relaxed);
                             break;
@@ -276,21 +286,21 @@ mod tests {
         let mut progs: Vec<ThreadFn> = Vec::new();
         for _ in 0..threads {
             let tl2 = tl2.clone();
-            progs.push(Box::new(move |ctx| {
+            progs.push(program(async move |ctx: &mut ThreadCtx| {
                 for _ in 0..30 {
-                    tl2.transact_pair(ctx, 0, 1, 1);
+                    tl2.transact_pair(ctx, 0, 1, 1).await;
                 }
             }));
         }
         let tl2r = tl2.clone();
-        progs.push(Box::new(move |ctx| {
+        progs.push(program(async move |ctx: &mut ThreadCtx| {
             // `read_committed` reads one object consistently; equality of
             // the two objects is only guaranteed at transaction
             // boundaries, so read both and allow a bounded skew (each
             // transaction adds 1 to both).
             for _ in 0..20 {
-                let a = tl2r.read_committed(ctx, 0);
-                let b = tl2r.read_committed(ctx, 1);
+                let a = tl2r.read_committed(ctx, 0).await;
+                let b = tl2r.read_committed(ctx, 1).await;
                 let skew = a.abs_diff(b);
                 assert!(
                     skew <= threads as u64,
@@ -312,13 +322,13 @@ mod tests {
         let progs: Vec<ThreadFn> = (0..threads)
             .map(|_| {
                 let tl2 = tl2.clone();
-                Box::new(move |ctx: &mut lr_machine::ThreadCtx| {
+                program(async move |ctx: &mut ThreadCtx| {
                     for k in 0..per {
                         let i = (k % 10) as usize;
                         let j = ((k + 3) % 10) as usize;
-                        tl2.transact_pair(ctx, i, j, 1);
+                        tl2.transact_pair(ctx, i, j, 1).await;
                     }
-                }) as ThreadFn
+                })
             })
             .collect();
         let (_, mem) = m.run_with_memory(progs);

@@ -29,7 +29,7 @@ impl Backoff {
     }
 
     /// Spin for the current interval (with jitter) and double it.
-    pub fn wait(&mut self, ctx: &mut ThreadCtx) {
+    pub async fn wait(&mut self, ctx: &mut ThreadCtx) {
         let jitter = ctx.rng().gen_range(0..=self.cur);
         ctx.work(self.cur / 2 + jitter);
         self.cur = (self.cur * 2).min(self.max);

@@ -30,26 +30,26 @@ impl ClhLock {
     }
 
     /// Create this thread's handle (allocates its queue node).
-    pub fn handle(&self, ctx: &mut ThreadCtx) -> ClhHandle {
+    pub async fn handle(&self, ctx: &mut ThreadCtx) -> ClhHandle {
         ClhHandle {
-            node: ctx.malloc_line(8),
+            node: ctx.malloc_line(8).await,
             pred: Addr::NULL,
         }
     }
 
     /// Acquire the lock.
-    pub fn lock(&self, ctx: &mut ThreadCtx, h: &mut ClhHandle) {
-        ctx.write(h.node, 1);
-        let pred = Addr(ctx.xchg(self.tail, h.node.0));
+    pub async fn lock(&self, ctx: &mut ThreadCtx, h: &mut ClhHandle) {
+        ctx.write(h.node, 1).await;
+        let pred = Addr(ctx.xchg(self.tail, h.node.0).await);
         h.pred = pred;
-        while ctx.read(pred) != 0 {
+        while ctx.read(pred).await != 0 {
             ctx.work(48);
         }
     }
 
     /// Release the lock; the handle recycles its predecessor's node.
-    pub fn unlock(&self, ctx: &mut ThreadCtx, h: &mut ClhHandle) {
-        ctx.write(h.node, 0);
+    pub async fn unlock(&self, ctx: &mut ThreadCtx, h: &mut ClhHandle) {
+        ctx.write(h.node, 0).await;
         h.node = h.pred;
         h.pred = Addr::NULL;
     }

@@ -29,8 +29,11 @@ use lr_sim_mem::SimMemory;
 /// operation to the protected structure and returns its response word.
 /// Combiners call this for other threads' operations, so it must be a
 /// pure function of simulated memory (no host-side per-thread state).
+// Workload futures are polled on the engine's thread and never need
+// `Send`, so the auto-trait caveat of `async fn` in traits is moot.
+#[allow(async_fn_in_trait)]
 pub trait CsApply: Copy + Send + 'static {
-    fn apply(&self, ctx: &mut ThreadCtx, op: u64, arg: u64) -> u64;
+    async fn apply(&self, ctx: &mut ThreadCtx, op: u64, arg: u64) -> u64;
 }
 
 /// Which delegation algorithm a [`Dlock`] runs.
@@ -192,7 +195,7 @@ impl Dlock {
     /// Execute one critical-section operation under the lock: acquire,
     /// run (possibly *being* run by a combiner), release. Returns the
     /// operation's response word.
-    pub fn run<A: CsApply>(
+    pub async fn run<A: CsApply>(
         &self,
         ctx: &mut ThreadCtx,
         h: &mut DlockHandle,
@@ -201,12 +204,12 @@ impl Dlock {
         arg: u64,
     ) -> u64 {
         match self.algo {
-            DlockAlgo::Mcs => self.mcs_run(ctx, h, apply, op, arg, false),
-            DlockAlgo::McsLease => self.mcs_run(ctx, h, apply, op, arg, true),
-            DlockAlgo::Clh => self.clh_run(ctx, h, apply, op, arg),
-            DlockAlgo::Fc => self.fc_run(ctx, h, apply, op, arg, false),
-            DlockAlgo::FcLease => self.fc_run(ctx, h, apply, op, arg, true),
-            DlockAlgo::CcSynch => self.cc_run(ctx, h, apply, op, arg),
+            DlockAlgo::Mcs => self.mcs_run(ctx, h, apply, op, arg, false).await,
+            DlockAlgo::McsLease => self.mcs_run(ctx, h, apply, op, arg, true).await,
+            DlockAlgo::Clh => self.clh_run(ctx, h, apply, op, arg).await,
+            DlockAlgo::Fc => self.fc_run(ctx, h, apply, op, arg, false).await,
+            DlockAlgo::FcLease => self.fc_run(ctx, h, apply, op, arg, true).await,
+            DlockAlgo::CcSynch => self.cc_run(ctx, h, apply, op, arg).await,
         }
     }
 
@@ -214,7 +217,7 @@ impl Dlock {
     /// through the successor link. `lease_tail` wraps the two tail RMWs
     /// in a §6 lease so the queue's only globally contended line behaves
     /// like the paper's leased lock word.
-    fn mcs_run<A: CsApply>(
+    async fn mcs_run<A: CsApply>(
         &self,
         ctx: &mut ThreadCtx,
         h: &mut DlockHandle,
@@ -224,55 +227,55 @@ impl Dlock {
         lease_tail: bool,
     ) -> u64 {
         let node = h.node;
-        ctx.write(node.offset(MCS_NEXT), 0);
+        ctx.write(node.offset(MCS_NEXT), 0).await;
         if lease_tail {
-            ctx.lease_max(self.tail);
+            ctx.lease_max(self.tail).await;
         }
-        let pred = ctx.xchg(self.tail, node.0);
+        let pred = ctx.xchg(self.tail, node.0).await;
         if lease_tail {
-            ctx.release(self.tail);
+            ctx.release(self.tail).await;
         }
         if pred != 0 {
             // Arm our spin flag *before* linking: the predecessor can
             // only clear it after it sees the link.
-            ctx.write(node.offset(MCS_LOCKED), 1);
-            ctx.write(Addr(pred).offset(MCS_NEXT), node.0);
-            while ctx.read(node.offset(MCS_LOCKED)) != 0 {
+            ctx.write(node.offset(MCS_LOCKED), 1).await;
+            ctx.write(Addr(pred).offset(MCS_NEXT), node.0).await;
+            while ctx.read(node.offset(MCS_LOCKED)).await != 0 {
                 ctx.work(SPIN_WORK);
             }
         }
-        let resp = apply.apply(ctx, op, arg);
+        let resp = apply.apply(ctx, op, arg).await;
         h.acquisitions += 1;
         h.combined += 1;
-        let mut next = ctx.read(node.offset(MCS_NEXT));
+        let mut next = ctx.read(node.offset(MCS_NEXT)).await;
         if next == 0 {
             if lease_tail {
-                ctx.lease_max(self.tail);
+                ctx.lease_max(self.tail).await;
             }
-            let (won, _) = ctx.cas_val(self.tail, node.0, 0);
+            let (won, _) = ctx.cas_val(self.tail, node.0, 0).await;
             if lease_tail {
-                ctx.release(self.tail);
+                ctx.release(self.tail).await;
             }
             if won {
                 return resp;
             }
             // A successor is mid-enqueue: wait for its link.
             loop {
-                next = ctx.read(node.offset(MCS_NEXT));
+                next = ctx.read(node.offset(MCS_NEXT)).await;
                 if next != 0 {
                     break;
                 }
                 ctx.work(SPIN_WORK);
             }
         }
-        ctx.write(Addr(next).offset(MCS_LOCKED), 0);
+        ctx.write(Addr(next).offset(MCS_LOCKED), 0).await;
         resp
     }
 
     /// CLH with queue handoff: spin on the *predecessor's* node, recycle
     /// it as ours on release — the pool never grows and waiting costs no
     /// global traffic.
-    fn clh_run<A: CsApply>(
+    async fn clh_run<A: CsApply>(
         &self,
         ctx: &mut ThreadCtx,
         h: &mut DlockHandle,
@@ -281,15 +284,15 @@ impl Dlock {
         arg: u64,
     ) -> u64 {
         let node = h.node;
-        ctx.write(node, 1);
-        let pred = Addr(ctx.xchg(self.tail, node.0));
-        while ctx.read(pred) != 0 {
+        ctx.write(node, 1).await;
+        let pred = Addr(ctx.xchg(self.tail, node.0).await);
+        while ctx.read(pred).await != 0 {
             ctx.work(SPIN_WORK);
         }
-        let resp = apply.apply(ctx, op, arg);
+        let resp = apply.apply(ctx, op, arg).await;
         h.acquisitions += 1;
         h.combined += 1;
-        ctx.write(node, 0);
+        ctx.write(node, 0).await;
         h.node = pred;
         resp
     }
@@ -299,7 +302,7 @@ impl Dlock {
     /// list. `lease` holds the combiner word for the session and leases
     /// each record while serving it, batching the response/handoff
     /// invalidations the way §6 batches lock-word ownership.
-    fn fc_run<A: CsApply>(
+    async fn fc_run<A: CsApply>(
         &self,
         ctx: &mut ThreadCtx,
         h: &mut DlockHandle,
@@ -309,65 +312,65 @@ impl Dlock {
         lease: bool,
     ) -> u64 {
         let rec = h.node;
-        ctx.write(rec.offset(FC_OP), op);
-        ctx.write(rec.offset(FC_ARG), arg);
-        ctx.write(rec.offset(FC_REQ), 1);
+        ctx.write(rec.offset(FC_OP), op).await;
+        ctx.write(rec.offset(FC_ARG), arg).await;
+        ctx.write(rec.offset(FC_REQ), 1).await;
         loop {
-            if ctx.read(rec.offset(FC_REQ)) == 2 {
-                let resp = ctx.read(rec.offset(FC_RESP));
-                ctx.write(rec.offset(FC_REQ), 0);
+            if ctx.read(rec.offset(FC_REQ)).await == 2 {
+                let resp = ctx.read(rec.offset(FC_RESP)).await;
+                ctx.write(rec.offset(FC_REQ), 0).await;
                 return resp;
             }
             let won = if lease {
-                ctx.lease_max(self.tail);
-                if ctx.xchg(self.tail, 1) == 0 {
+                ctx.lease_max(self.tail).await;
+                if ctx.xchg(self.tail, 1).await == 0 {
                     true
                 } else {
                     // Contended: drop the lease at once (the §6 rule) so
                     // the active combiner's unlock is not delayed.
-                    ctx.release(self.tail);
+                    ctx.release(self.tail).await;
                     false
                 }
             } else {
-                ctx.read(self.tail) == 0 && ctx.xchg(self.tail, 1) == 0
+                ctx.read(self.tail).await == 0 && ctx.xchg(self.tail, 1).await == 0
             };
             if won {
-                if ctx.read(rec.offset(FC_REQ)) == 2 {
+                if ctx.read(rec.offset(FC_REQ)).await == 2 {
                     // Served while we contended for the combiner word
                     // (under leases, waiters queue for the whole
                     // session): hand the lock straight back.
-                    ctx.write(self.tail, 0);
+                    ctx.write(self.tail, 0).await;
                     if lease {
-                        ctx.release(self.tail);
+                        ctx.release(self.tail).await;
                     }
-                    let resp = ctx.read(rec.offset(FC_RESP));
-                    ctx.write(rec.offset(FC_REQ), 0);
+                    let resp = ctx.read(rec.offset(FC_RESP)).await;
+                    ctx.write(rec.offset(FC_REQ), 0).await;
                     return resp;
                 }
                 h.acquisitions += 1;
                 for &r in &self.nodes {
                     if lease {
-                        ctx.lease_max(r);
+                        ctx.lease_max(r).await;
                     }
-                    if ctx.read(r.offset(FC_REQ)) == 1 {
-                        let o = ctx.read(r.offset(FC_OP));
-                        let a = ctx.read(r.offset(FC_ARG));
-                        let resp = apply.apply(ctx, o, a);
-                        ctx.write(r.offset(FC_RESP), resp);
-                        ctx.write(r.offset(FC_REQ), 2);
+                    if ctx.read(r.offset(FC_REQ)).await == 1 {
+                        let o = ctx.read(r.offset(FC_OP)).await;
+                        let a = ctx.read(r.offset(FC_ARG)).await;
+                        let resp = apply.apply(ctx, o, a).await;
+                        ctx.write(r.offset(FC_RESP), resp).await;
+                        ctx.write(r.offset(FC_REQ), 2).await;
                         h.combined += 1;
                     }
                     if lease {
-                        ctx.release(r);
+                        ctx.release(r).await;
                     }
                 }
-                ctx.write(self.tail, 0);
+                ctx.write(self.tail, 0).await;
                 if lease {
-                    ctx.release(self.tail);
+                    ctx.release(self.tail).await;
                 }
                 // Our own record was pending, so the scan served it.
-                let resp = ctx.read(rec.offset(FC_RESP));
-                ctx.write(rec.offset(FC_REQ), 0);
+                let resp = ctx.read(rec.offset(FC_RESP)).await;
+                ctx.write(rec.offset(FC_REQ), 0).await;
                 return resp;
             }
             ctx.work(SPIN_WORK);
@@ -378,7 +381,7 @@ impl Dlock {
     /// node in as tail, publish into the node received, spin on it; the
     /// thread woken with `DONE == 0` combines up to [`CC_HANDOFF`]
     /// chained operations, then reciprocates combining duty onward.
-    fn cc_run<A: CsApply>(
+    async fn cc_run<A: CsApply>(
         &self,
         ctx: &mut ThreadCtx,
         h: &mut DlockHandle,
@@ -387,19 +390,19 @@ impl Dlock {
         arg: u64,
     ) -> u64 {
         let fresh = h.node;
-        ctx.write(fresh.offset(CC_WAIT), 1);
-        ctx.write(fresh.offset(CC_DONE), 0);
-        ctx.write(fresh.offset(CC_NEXT), 0);
-        let cur = Addr(ctx.xchg(self.tail, fresh.0));
-        ctx.write(cur.offset(CC_OP), op);
-        ctx.write(cur.offset(CC_ARG), arg);
-        ctx.write(cur.offset(CC_NEXT), fresh.0);
+        ctx.write(fresh.offset(CC_WAIT), 1).await;
+        ctx.write(fresh.offset(CC_DONE), 0).await;
+        ctx.write(fresh.offset(CC_NEXT), 0).await;
+        let cur = Addr(ctx.xchg(self.tail, fresh.0).await);
+        ctx.write(cur.offset(CC_OP), op).await;
+        ctx.write(cur.offset(CC_ARG), arg).await;
+        ctx.write(cur.offset(CC_NEXT), fresh.0).await;
         h.node = cur; // adopt the received node as our next spare
-        while ctx.read(cur.offset(CC_WAIT)) != 0 {
+        while ctx.read(cur.offset(CC_WAIT)).await != 0 {
             ctx.work(SPIN_WORK);
         }
-        if ctx.read(cur.offset(CC_DONE)) != 0 {
-            return ctx.read(cur.offset(CC_RESP));
+        if ctx.read(cur.offset(CC_DONE)).await != 0 {
+            return ctx.read(cur.offset(CC_RESP)).await;
         }
         // Combining duty is ours. The first served node is always `cur`
         // (we linked its NEXT above), so our own response is iteration 0.
@@ -408,16 +411,16 @@ impl Dlock {
         let mut tmp = cur;
         let mut served = 0u64;
         loop {
-            let next = ctx.read(tmp.offset(CC_NEXT));
+            let next = ctx.read(tmp.offset(CC_NEXT)).await;
             if next == 0 || served >= CC_HANDOFF {
                 break;
             }
-            let o = ctx.read(tmp.offset(CC_OP));
-            let a = ctx.read(tmp.offset(CC_ARG));
-            let resp = apply.apply(ctx, o, a);
-            ctx.write(tmp.offset(CC_RESP), resp);
-            ctx.write(tmp.offset(CC_DONE), 1);
-            ctx.write(tmp.offset(CC_WAIT), 0);
+            let o = ctx.read(tmp.offset(CC_OP)).await;
+            let a = ctx.read(tmp.offset(CC_ARG)).await;
+            let resp = apply.apply(ctx, o, a).await;
+            ctx.write(tmp.offset(CC_RESP), resp).await;
+            ctx.write(tmp.offset(CC_DONE), 1).await;
+            ctx.write(tmp.offset(CC_WAIT), 0).await;
             if tmp == cur {
                 own_resp = resp;
             }
@@ -428,7 +431,7 @@ impl Dlock {
         // Handoff: wake `tmp`'s owner with DONE still 0 — it combines
         // from here (or, if `tmp` is the idle tail node, the next
         // enqueuer skips its spin entirely).
-        ctx.write(tmp.offset(CC_WAIT), 0);
+        ctx.write(tmp.offset(CC_WAIT), 0).await;
         own_resp
     }
 }
@@ -436,7 +439,7 @@ impl Dlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lr_machine::{Machine, SystemConfig, ThreadFn};
+    use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
@@ -449,10 +452,10 @@ mod tests {
     }
 
     impl CsApply for CounterApply {
-        fn apply(&self, ctx: &mut ThreadCtx, _op: u64, arg: u64) -> u64 {
-            let v = ctx.read(self.cell);
+        async fn apply(&self, ctx: &mut ThreadCtx, _op: u64, arg: u64) -> u64 {
+            let v = ctx.read(self.cell).await;
             ctx.work(25);
-            ctx.write(self.cell, v.wrapping_add(arg));
+            ctx.write(self.cell, v.wrapping_add(arg)).await;
             v
         }
     }
@@ -469,16 +472,16 @@ mod tests {
             .map(|tid| {
                 let lock = lock.clone();
                 let (acq, comb) = (acq.clone(), comb.clone());
-                Box::new(move |ctx: &mut ThreadCtx| {
+                program(async move |ctx: &mut ThreadCtx| {
                     let mut h = lock.handle(tid);
                     let apply = CounterApply { cell };
                     for _ in 0..per {
-                        lock.run(ctx, &mut h, &apply, 0, 1);
+                        lock.run(ctx, &mut h, &apply, 0, 1).await;
                         ctx.work(30);
                     }
                     acq.fetch_add(h.acquisitions, Ordering::Relaxed);
                     comb.fetch_add(h.combined, Ordering::Relaxed);
-                }) as ThreadFn
+                })
             })
             .collect();
         let (_, mem) = m.run_with_memory(progs);
@@ -547,15 +550,15 @@ mod tests {
                 .map(|tid| {
                     let lock = lock.clone();
                     let seen = seen.clone();
-                    Box::new(move |ctx: &mut ThreadCtx| {
+                    program(async move |ctx: &mut ThreadCtx| {
                         let mut h = lock.handle(tid);
                         let apply = CounterApply { cell };
                         let mut got = Vec::new();
                         for _ in 0..per {
-                            got.push(lock.run(ctx, &mut h, &apply, 0, 1));
+                            got.push(lock.run(ctx, &mut h, &apply, 0, 1).await);
                         }
                         seen.lock().unwrap().extend(got);
-                    }) as ThreadFn
+                    })
                 })
                 .collect();
             m.run(progs);

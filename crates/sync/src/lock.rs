@@ -6,14 +6,17 @@ use lr_sim_core::Addr;
 use lr_sim_mem::SimMemory;
 
 /// Common lock interface for the lock-based data structures.
+// Workload futures are polled on the engine's thread and never need
+// `Send`, so the auto-trait caveat of `async fn` in traits is moot.
+#[allow(async_fn_in_trait)]
 pub trait TryLock {
     /// One acquisition attempt; true on success.
-    fn try_lock(&self, ctx: &mut ThreadCtx) -> bool;
+    async fn try_lock(&self, ctx: &mut ThreadCtx) -> bool;
     /// Release; caller must hold the lock.
-    fn unlock(&self, ctx: &mut ThreadCtx);
+    async fn unlock(&self, ctx: &mut ThreadCtx);
     /// Blocking acquire (default: spin on `try_lock`).
-    fn lock(&self, ctx: &mut ThreadCtx) {
-        while !self.try_lock(ctx) {
+    async fn lock(&self, ctx: &mut ThreadCtx) {
+        while !self.try_lock(ctx).await {
             ctx.work(16);
         }
     }
@@ -42,25 +45,25 @@ impl SpinLock {
 }
 
 impl TryLock for SpinLock {
-    fn try_lock(&self, ctx: &mut ThreadCtx) -> bool {
+    async fn try_lock(&self, ctx: &mut ThreadCtx) -> bool {
         // test&test&set: read first to avoid useless exclusive requests.
-        ctx.read(self.addr) == 0 && ctx.xchg(self.addr, 1) == 0
+        ctx.read(self.addr).await == 0 && ctx.xchg(self.addr, 1).await == 0
     }
 
-    fn unlock(&self, ctx: &mut ThreadCtx) {
-        ctx.write(self.addr, 0);
+    async fn unlock(&self, ctx: &mut ThreadCtx) {
+        ctx.write(self.addr, 0).await;
     }
 
-    fn lock(&self, ctx: &mut ThreadCtx) {
+    async fn lock(&self, ctx: &mut ThreadCtx) {
         loop {
-            if self.try_lock(ctx) {
+            if self.try_lock(ctx).await {
                 return;
             }
             // Plain TTS: spin on the locally cached copy (L1 hits) until
             // the unlock store invalidates it. No backoff — this is the
             // paper's baseline; the backoff'd alternatives are the
             // ticket/CLH locks.
-            while ctx.read(self.addr) != 0 {
+            while ctx.read(self.addr).await != 0 {
                 ctx.work(24);
             }
         }
@@ -96,32 +99,32 @@ impl LeasedLock {
 }
 
 impl TryLock for LeasedLock {
-    fn try_lock(&self, ctx: &mut ThreadCtx) -> bool {
-        ctx.lease_max(self.addr);
-        if ctx.xchg(self.addr, 1) == 0 {
+    async fn try_lock(&self, ctx: &mut ThreadCtx) -> bool {
+        ctx.lease_max(self.addr).await;
+        if ctx.xchg(self.addr, 1).await == 0 {
             // Keep the lease for the whole critical section.
             true
         } else {
             // Already owned: drop the lease at once so the owner's unlock
             // is not delayed behind our lease.
-            ctx.release(self.addr);
+            ctx.release(self.addr).await;
             false
         }
     }
 
-    fn unlock(&self, ctx: &mut ThreadCtx) {
-        ctx.write(self.addr, 0);
-        ctx.release(self.addr);
+    async fn unlock(&self, ctx: &mut ThreadCtx) {
+        ctx.write(self.addr, 0).await;
+        ctx.release(self.addr).await;
     }
 
-    fn lock(&self, ctx: &mut ThreadCtx) {
+    async fn lock(&self, ctx: &mut ThreadCtx) {
         // No spin-wait loop: the lease acquisition *is* the wait. Each
         // retry's exclusive request queues — first in line at the owning
         // core, the rest in the directory's per-line FIFO — and is
         // granted exactly at the owner's release, with the lock free
         // (the paper's "implicit queue" / efficient sequentialization).
         loop {
-            if self.try_lock(ctx) {
+            if self.try_lock(ctx).await {
                 return;
             }
         }

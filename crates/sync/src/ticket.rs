@@ -28,10 +28,10 @@ impl TicketLock {
     }
 
     /// Acquire, returning the ticket to pass to [`TicketLock::unlock`].
-    pub fn lock(&self, ctx: &mut ThreadCtx) -> u64 {
-        let my = ctx.faa(self.next, 1);
+    pub async fn lock(&self, ctx: &mut ThreadCtx) -> u64 {
+        let my = ctx.faa(self.next, 1).await;
         loop {
-            let cur = ctx.read(self.serving);
+            let cur = ctx.read(self.serving).await;
             if cur == my {
                 return my;
             }
@@ -42,7 +42,7 @@ impl TicketLock {
     }
 
     /// Release with the ticket obtained from [`TicketLock::lock`].
-    pub fn unlock(&self, ctx: &mut ThreadCtx, ticket: u64) {
-        ctx.write(self.serving, ticket.wrapping_add(1));
+    pub async fn unlock(&self, ctx: &mut ThreadCtx, ticket: u64) {
+        ctx.write(self.serving, ticket.wrapping_add(1)).await;
     }
 }

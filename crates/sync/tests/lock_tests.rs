@@ -2,7 +2,7 @@
 //! properties, and the lease-specific traffic characteristics the paper
 //! claims in §1/§6.
 
-use lr_machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sync::{ClhLock, LeasedLock, SpinLock, TicketLock, TryLock};
 
 fn cfg(cores: usize) -> SystemConfig {
@@ -14,7 +14,7 @@ fn cfg(cores: usize) -> SystemConfig {
 fn check_mutex<L, F>(init: impl FnOnce(&mut lr_sim_mem::SimMemory) -> L, cs: F)
 where
     L: Copy + Send + 'static,
-    F: Fn(&mut ThreadCtx, &L, lr_sim_core::Addr) + Copy + Send + Sync + 'static,
+    F: AsyncFn(&mut ThreadCtx, &L, lr_sim_core::Addr) + Copy + Send + Sync + 'static,
 {
     let threads = 5;
     let per = 20u64;
@@ -22,12 +22,12 @@ where
     let (lock, data) = m.setup(|mem| (init(mem), mem.alloc_line_aligned(8)));
     let progs: Vec<ThreadFn> = (0..threads)
         .map(|_| {
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 for _ in 0..per {
-                    cs(ctx, &lock, data);
+                    cs(ctx, &lock, data).await;
                     ctx.work(30);
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     let (_, mem) = m.run_with_memory(progs);
@@ -36,23 +36,23 @@ where
 
 #[test]
 fn spinlock_mutual_exclusion() {
-    check_mutex(SpinLock::init, |ctx, l: &SpinLock, d| {
-        l.lock(ctx);
-        let v = ctx.read(d);
+    check_mutex(SpinLock::init, async |ctx, l: &SpinLock, d| {
+        l.lock(ctx).await;
+        let v = ctx.read(d).await;
         ctx.work(25);
-        ctx.write(d, v + 1);
-        l.unlock(ctx);
+        ctx.write(d, v + 1).await;
+        l.unlock(ctx).await;
     });
 }
 
 #[test]
 fn leased_lock_mutual_exclusion() {
-    check_mutex(LeasedLock::init, |ctx, l: &LeasedLock, d| {
-        l.lock(ctx);
-        let v = ctx.read(d);
+    check_mutex(LeasedLock::init, async |ctx, l: &LeasedLock, d| {
+        l.lock(ctx).await;
+        let v = ctx.read(d).await;
         ctx.work(25);
-        ctx.write(d, v + 1);
-        l.unlock(ctx);
+        ctx.write(d, v + 1).await;
+        l.unlock(ctx).await;
     });
 }
 
@@ -60,12 +60,12 @@ fn leased_lock_mutual_exclusion() {
 fn ticket_lock_mutual_exclusion() {
     check_mutex(
         |mem| TicketLock::init(mem, 30),
-        |ctx, l: &TicketLock, d| {
-            let t = l.lock(ctx);
-            let v = ctx.read(d);
+        async |ctx, l: &TicketLock, d| {
+            let t = l.lock(ctx).await;
+            let v = ctx.read(d).await;
             ctx.work(25);
-            ctx.write(d, v + 1);
-            l.unlock(ctx, t);
+            ctx.write(d, v + 1).await;
+            l.unlock(ctx, t).await;
         },
     );
 }
@@ -79,17 +79,17 @@ fn clh_lock_mutual_exclusion() {
     let (lock, data) = m.setup(|mem| (ClhLock::init(mem), mem.alloc_line_aligned(8)));
     let progs: Vec<ThreadFn> = (0..threads)
         .map(|_| {
-            Box::new(move |ctx: &mut ThreadCtx| {
-                let mut h = lock.handle(ctx);
+            program(async move |ctx: &mut ThreadCtx| {
+                let mut h = lock.handle(ctx).await;
                 for _ in 0..per {
-                    lock.lock(ctx, &mut h);
-                    let v = ctx.read(data);
+                    lock.lock(ctx, &mut h).await;
+                    let v = ctx.read(data).await;
                     ctx.work(25);
-                    ctx.write(data, v + 1);
-                    lock.unlock(ctx, &mut h);
+                    ctx.write(data, v + 1).await;
+                    lock.unlock(ctx, &mut h).await;
                     ctx.work(30);
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     let (_, mem) = m.run_with_memory(progs);
@@ -114,24 +114,24 @@ fn leased_lock_keeps_line_and_queues_waiters() {
         });
         let progs: Vec<ThreadFn> = (0..threads)
             .map(|_| {
-                Box::new(move |ctx: &mut ThreadCtx| {
+                program(async move |ctx: &mut ThreadCtx| {
                     for _ in 0..per {
                         if leased {
-                            lease.lock(ctx);
+                            lease.lock(ctx).await;
                         } else {
-                            spin.lock(ctx);
+                            spin.lock(ctx).await;
                         }
-                        let v = ctx.read(data);
+                        let v = ctx.read(data).await;
                         ctx.work(40);
-                        ctx.write(data, v + 1);
+                        ctx.write(data, v + 1).await;
                         if leased {
-                            lease.unlock(ctx);
+                            lease.unlock(ctx).await;
                         } else {
-                            spin.unlock(ctx);
+                            spin.unlock(ctx).await;
                         }
                         ctx.work(40);
                     }
-                }) as ThreadFn
+                })
             })
             .collect();
         m.run(progs)
@@ -167,19 +167,19 @@ fn leased_lock_is_roughly_fair() {
     let progs: Vec<ThreadFn> = (0..threads)
         .map(|tid| {
             let counts = counts.clone();
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 let mut done = 0u64;
                 while ctx.now() < 120_000 {
-                    lock.lock(ctx);
-                    let v = ctx.read(data);
+                    lock.lock(ctx).await;
+                    let v = ctx.read(data).await;
                     ctx.work(50);
-                    ctx.write(data, v + 1);
-                    lock.unlock(ctx);
+                    ctx.write(data, v + 1).await;
+                    lock.unlock(ctx).await;
                     done += 1;
                     ctx.work(50);
                 }
                 counts.lock().unwrap()[tid] = done;
-            }) as ThreadFn
+            })
         })
         .collect();
     m.run(progs);
@@ -202,18 +202,18 @@ fn ticket_lock_is_fifo() {
     let (lock, order) = m.setup(|mem| (TicketLock::init(mem, 30), mem.alloc_line_aligned(8)));
     let progs: Vec<ThreadFn> = (0..threads)
         .map(|_| {
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 for _ in 0..per {
-                    let t = lock.lock(ctx);
+                    let t = lock.lock(ctx).await;
                     // Inside the CS, the global grant counter must equal
                     // our ticket: grants happen in ticket order.
-                    let served = ctx.read(order);
+                    let served = ctx.read(order).await;
                     assert_eq!(served, t, "out-of-order grant");
-                    ctx.write(order, served + 1);
-                    lock.unlock(ctx, t);
+                    ctx.write(order, served + 1).await;
+                    lock.unlock(ctx, t).await;
                     ctx.work(20);
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     m.run(progs);

@@ -6,21 +6,21 @@
 //! ```
 
 use lease_release::ds::{StackVariant, TreiberStack};
-use lease_release::machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lease_release::machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 
 fn run(variant: StackVariant, threads: usize) -> f64 {
     let mut machine = Machine::new(SystemConfig::with_cores(threads.max(2)));
     let stack = machine.setup(|mem| TreiberStack::init(mem, variant));
     let progs: Vec<ThreadFn> = (0..threads)
         .map(|_| {
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 for i in 0..150 {
-                    stack.push(ctx, i + 1);
+                    stack.push(ctx, i + 1).await;
                     ctx.count_op();
-                    stack.pop(ctx);
+                    stack.pop(ctx).await;
                     ctx.count_op();
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     machine.run(progs).throughput_ops_per_sec(1.0) / 1e6

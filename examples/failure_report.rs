@@ -6,7 +6,7 @@
 //! cargo run --release --example failure_report
 //! ```
 
-use lease_release::machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lease_release::machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 
 fn main() {
     let mut cfg = SystemConfig::with_cores(2);
@@ -21,10 +21,10 @@ fn main() {
 
     // One thread holds a lease and spins forever: a livelock the cycle
     // watchdog converts into a loud, structured failure.
-    let progs: Vec<ThreadFn> = vec![Box::new(move |ctx: &mut ThreadCtx| {
-        ctx.lease(cell, 1_000_000);
+    let progs: Vec<ThreadFn> = vec![program(async move |ctx: &mut ThreadCtx| {
+        ctx.lease(cell, 1_000_000).await;
         loop {
-            ctx.read(cell);
+            ctx.read(cell).await;
             ctx.work(100);
         }
     })];

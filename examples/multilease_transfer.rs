@@ -6,7 +6,7 @@
 //! cargo run --release --example multilease_transfer
 //! ```
 
-use lease_release::machine::{Addr, Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lease_release::machine::{program, Addr, Machine, SystemConfig, ThreadCtx, ThreadFn};
 
 const ACCOUNTS: usize = 8;
 const INITIAL: u64 = 1_000;
@@ -32,7 +32,7 @@ fn main() {
     // Transfer threads: MultiLease both accounts, move a random amount.
     for _ in 0..threads {
         let accounts = accounts.clone();
-        progs.push(Box::new(move |ctx: &mut ThreadCtx| {
+        progs.push(program(async move |ctx: &mut ThreadCtx| {
             for _ in 0..TRANSFERS_PER_THREAD {
                 let i = ctx.rng().gen_range(0..ACCOUNTS);
                 let mut j = ctx.rng().gen_range(0..ACCOUNTS);
@@ -43,14 +43,15 @@ fn main() {
 
                 // Jointly lease both lines: the two reads and two writes
                 // below execute without losing ownership in between.
-                ctx.multi_lease(&[accounts[i], accounts[j]], ctx.max_lease_time());
-                let from = ctx.read(accounts[i]);
-                let to = ctx.read(accounts[j]);
+                ctx.multi_lease(&[accounts[i], accounts[j]], ctx.max_lease_time())
+                    .await;
+                let from = ctx.read(accounts[i]).await;
+                let to = ctx.read(accounts[j]).await;
                 let amount = amount.min(from);
-                ctx.write(accounts[i], from - amount);
-                ctx.write(accounts[j], to + amount);
+                ctx.write(accounts[i], from - amount).await;
+                ctx.write(accounts[j], to + amount).await;
                 // Releasing any group member releases the whole group.
-                ctx.release(accounts[i]);
+                ctx.release(accounts[i]).await;
                 ctx.count_op();
             }
         }));
@@ -58,11 +59,11 @@ fn main() {
 
     // Auditor thread: lease-based snapshots of all eight accounts.
     let accounts2 = accounts.clone();
-    progs.push(Box::new(move |ctx: &mut ThreadCtx| {
+    progs.push(program(async move |ctx: &mut ThreadCtx| {
         let mut consistent = 0u64;
         let mut retries = 0u64;
         while consistent < 20 {
-            match ctx.snapshot(&accounts2, 10_000) {
+            match ctx.snapshot(&accounts2, 10_000).await {
                 Some(balances) => {
                     let total: u64 = balances.iter().sum();
                     assert_eq!(

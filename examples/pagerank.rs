@@ -7,7 +7,7 @@
 //! ```
 
 use lease_release::apps::{Graph, Pagerank, PagerankVariant};
-use lease_release::machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lease_release::machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use std::sync::Arc;
 
 fn run(variant: PagerankVariant, threads: usize, graph: &Arc<Graph>) -> u64 {
@@ -17,9 +17,9 @@ fn run(variant: PagerankVariant, threads: usize, graph: &Arc<Graph>) -> u64 {
         .map(|tid| {
             let pr = pr.clone();
             let graph = graph.clone();
-            Box::new(move |ctx: &mut ThreadCtx| {
-                pr.run_thread(ctx, &graph, tid, threads, 3);
-            }) as ThreadFn
+            program(async move |ctx: &mut ThreadCtx| {
+                pr.run_thread(ctx, &graph, tid, threads, 3).await;
+            })
         })
         .collect();
     machine.run(progs).total_cycles

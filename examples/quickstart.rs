@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use lease_release::machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lease_release::machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 
 fn run(threads: usize, leased: bool) -> lease_release::machine::MachineStats {
     let cfg = SystemConfig::with_cores(threads);
@@ -19,23 +19,23 @@ fn run(threads: usize, leased: bool) -> lease_release::machine::MachineStats {
     // the canonical contended pattern from Figure 1 of the paper.
     let progs: Vec<ThreadFn> = (0..threads)
         .map(|_| {
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 for _ in 0..200 {
                     loop {
                         if leased {
                             // Lease the line for the read–CAS window...
-                            ctx.lease_max(counter);
+                            ctx.lease_max(counter).await;
                         }
-                        let v = ctx.read(counter);
+                        let v = ctx.read(counter).await;
                         // "Compute" the new value: the longer the window
                         // between the read and the CAS, the more the CAS
                         // fails under contention — and the more the lease
                         // helps.
                         ctx.work(64);
-                        let ok = ctx.cas(counter, v, v + 1);
+                        let ok = ctx.cas(counter, v, v + 1).await;
                         if leased {
                             // ... and release it right after the CAS.
-                            ctx.release(counter);
+                            ctx.release(counter).await;
                         }
                         if ok {
                             break;
@@ -43,7 +43,7 @@ fn run(threads: usize, leased: bool) -> lease_release::machine::MachineStats {
                     }
                     ctx.count_op();
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
 

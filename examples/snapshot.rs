@@ -7,7 +7,7 @@
 //! cargo run --release --example snapshot
 //! ```
 
-use lease_release::machine::{Addr, Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lease_release::machine::{program, Addr, Machine, SystemConfig, ThreadCtx, ThreadFn};
 
 const CELLS: usize = 6;
 
@@ -21,13 +21,13 @@ fn main() {
     // Two writers keep all cells equal, updating them under a MultiLease.
     for _ in 0..2 {
         let cells = cells.clone();
-        progs.push(Box::new(move |ctx: &mut ThreadCtx| {
+        progs.push(program(async move |ctx: &mut ThreadCtx| {
             for round in 1..=60u64 {
-                ctx.multi_lease(&cells, ctx.max_lease_time());
+                ctx.multi_lease(&cells, ctx.max_lease_time()).await;
                 for &c in &cells {
-                    ctx.write(c, round);
+                    ctx.write(c, round).await;
                 }
-                ctx.release(cells[0]); // releases the whole group
+                ctx.release(cells[0]).await; // releases the whole group
                 ctx.work(500);
             }
         }));
@@ -37,11 +37,11 @@ fn main() {
     // snapshot must see all cells equal.
     {
         let cells = cells.clone();
-        progs.push(Box::new(move |ctx: &mut ThreadCtx| {
+        progs.push(program(async move |ctx: &mut ThreadCtx| {
             let mut ok = 0u64;
             let mut failed = 0u64;
             while ok < 25 {
-                match ctx.snapshot(&cells, 10_000) {
+                match ctx.snapshot(&cells, 10_000).await {
                     Some(vals) => {
                         assert!(
                             vals.windows(2).all(|w| w[0] == w[1]),
@@ -62,10 +62,10 @@ fn main() {
     // return a wrong "consistent" result.
     {
         let cells = cells.clone();
-        progs.push(Box::new(move |ctx: &mut ThreadCtx| {
+        progs.push(program(async move |ctx: &mut ThreadCtx| {
             let mut failures = 0u64;
             for _ in 0..40 {
-                if let Some(vals) = ctx.snapshot(&cells, 2) {
+                if let Some(vals) = ctx.snapshot(&cells, 2).await {
                     // A 2-cycle lease expires before the reads finish, so
                     // success is only possible with zero contention.
                     assert!(vals.windows(2).all(|w| w[0] == w[1]));

@@ -5,7 +5,7 @@
 
 use lease_release::apps::{CounterBench, CounterLockKind, Graph, Pagerank, PagerankVariant};
 use lease_release::ds::{MsQueue, QueueVariant, StackVariant, TreiberStack};
-use lease_release::machine::{Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lease_release::machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use lease_release::stm::{Tl2, Tl2Variant};
 
 fn cfg(cores: usize) -> SystemConfig {
@@ -23,14 +23,14 @@ fn leases_speed_up_contended_stack() {
         let s = m.setup(|mem| TreiberStack::init(mem, variant));
         let progs: Vec<ThreadFn> = (0..threads)
             .map(|_| {
-                Box::new(move |ctx: &mut ThreadCtx| {
+                program(async move |ctx: &mut ThreadCtx| {
                     for i in 0..60 {
-                        s.push(ctx, i + 1);
+                        s.push(ctx, i + 1).await;
                         ctx.count_op();
-                        s.pop(ctx);
+                        s.pop(ctx).await;
                         ctx.count_op();
                     }
-                }) as ThreadFn
+                })
             })
             .collect();
         m.run(progs)
@@ -55,11 +55,11 @@ fn leases_do_not_hurt_uncontended() {
     let run = |variant: StackVariant| {
         let mut m = Machine::new(cfg(2));
         let s = m.setup(|mem| TreiberStack::init(mem, variant));
-        let progs: Vec<ThreadFn> = vec![Box::new(move |ctx: &mut ThreadCtx| {
+        let progs: Vec<ThreadFn> = vec![program(async move |ctx: &mut ThreadCtx| {
             for i in 0..120 {
-                s.push(ctx, i + 1);
+                s.push(ctx, i + 1).await;
                 ctx.count_op();
-                s.pop(ctx);
+                s.pop(ctx).await;
                 ctx.count_op();
             }
         })];
@@ -82,14 +82,14 @@ fn full_stack_determinism() {
         let q = m.setup(|mem| MsQueue::init(mem, QueueVariant::Leased));
         let progs: Vec<ThreadFn> = (0..threads)
             .map(|_| {
-                Box::new(move |ctx: &mut ThreadCtx| {
+                program(async move |ctx: &mut ThreadCtx| {
                     for _ in 0..40 {
                         let v: u64 = ctx.rng().gen_range(1..1000);
-                        q.enqueue(ctx, v);
-                        q.dequeue(ctx);
+                        q.enqueue(ctx, v).await;
+                        q.dequeue(ctx).await;
                         ctx.count_op();
                     }
-                }) as ThreadFn
+                })
             })
             .collect();
         m.run(progs).summary()
@@ -112,36 +112,36 @@ fn misuse_holding_lease_on_owned_lock_still_terminates() {
     // can be granted the line while the lock is held — when everyone
     // leases, the implicit FIFO queue hands the line over only at
     // unlocks and the bad pattern is never even exposed).
-    progs.push(Box::new(move |ctx: &mut ThreadCtx| {
+    progs.push(program(async move |ctx: &mut ThreadCtx| {
         for _ in 0..15 {
-            while ctx.xchg(lock, 1) != 0 {
+            while ctx.xchg(lock, 1).await != 0 {
                 ctx.work(16);
             }
-            let v = ctx.read(data);
+            let v = ctx.read(data).await;
             ctx.work(400);
-            ctx.write(data, v + 1);
-            ctx.write(lock, 0);
+            ctx.write(data, v + 1).await;
+            ctx.write(lock, 0).await;
             ctx.count_op();
         }
     }));
     for _ in 1..3 {
-        progs.push(Box::new(move |ctx: &mut ThreadCtx| {
+        progs.push(program(async move |ctx: &mut ThreadCtx| {
             for _ in 0..15 {
                 // BAD pattern: lease, fail to acquire, DO NOT release —
                 // the owner's unlock store now stalls until our lease
                 // expires.
                 loop {
-                    ctx.lease(lock, 1_000);
-                    if ctx.xchg(lock, 1) == 0 {
+                    ctx.lease(lock, 1_000).await;
+                    if ctx.xchg(lock, 1).await == 0 {
                         break;
                     }
                     ctx.work(50); // spin on the leased line
                 }
-                let v = ctx.read(data);
+                let v = ctx.read(data).await;
                 ctx.work(400);
-                ctx.write(data, v + 1);
-                ctx.write(lock, 0);
-                ctx.release(lock);
+                ctx.write(data, v + 1).await;
+                ctx.write(lock, 0).await;
+                ctx.release(lock).await;
                 ctx.count_op();
             }
         }));
@@ -167,9 +167,9 @@ fn tiny_lease_time_preserves_correctness() {
     let bench = m.setup(|mem| CounterBench::init(mem, CounterLockKind::TtsLeased));
     let progs: Vec<ThreadFn> = (0..threads)
         .map(|_| {
-            Box::new(move |ctx: &mut ThreadCtx| {
-                bench.run_thread(ctx, per);
-            }) as ThreadFn
+            program(async move |ctx: &mut ThreadCtx| {
+                bench.run_thread(ctx, per).await;
+            })
         })
         .collect();
     let (stats, mem) = m.run_with_memory(progs);
@@ -194,19 +194,19 @@ fn false_sharing_leases_still_make_progress() {
     let progs: Vec<ThreadFn> = (0..4)
         .map(|tid| {
             let target = if tid % 2 == 0 { a } else { b };
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 for _ in 0..per {
                     loop {
-                        ctx.lease(target, 400);
-                        let v = ctx.read(target);
-                        let ok = ctx.cas(target, v, v + 1);
-                        ctx.release(target);
+                        ctx.lease(target, 400).await;
+                        let v = ctx.read(target).await;
+                        let ok = ctx.cas(target, v, v + 1).await;
+                        ctx.release(target).await;
                         if ok {
                             break;
                         }
                     }
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     let (_, mem) = m.run_with_memory(progs);
@@ -227,25 +227,28 @@ fn tl2_multilease_conserves_sum() {
         .map(|tid| {
             let tl2 = tl2.clone();
             let tl2_audit = tl2_audit.clone();
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 for _ in 0..per {
                     let i = ctx.rng().gen_range(0..10);
                     let mut j = ctx.rng().gen_range(0..10);
                     while j == i {
                         j = ctx.rng().gen_range(0..10);
                     }
-                    tl2.transact_pair(ctx, i, j, 1);
+                    tl2.transact_pair(ctx, i, j, 1).await;
                 }
                 if tid == 0 {
                     loop {
-                        let total: u64 = (0..10).map(|k| tl2_audit.read_committed(ctx, k)).sum();
+                        let mut total = 0u64;
+                        for k in 0..10 {
+                            total += tl2_audit.read_committed(ctx, k).await;
+                        }
                         if total == 2 * per * threads as u64 {
                             break;
                         }
                         ctx.work(500);
                     }
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     m.run(progs);
@@ -265,9 +268,9 @@ fn pagerank_lease_is_semantically_transparent() {
             .map(|tid| {
                 let pr = pr.clone();
                 let graph = graph.clone();
-                Box::new(move |ctx: &mut ThreadCtx| {
-                    pr.run_thread(ctx, &graph, tid, threads, 3);
-                }) as ThreadFn
+                program(async move |ctx: &mut ThreadCtx| {
+                    pr.run_thread(ctx, &graph, tid, threads, 3).await;
+                })
             })
             .collect();
         let (_, mem) = m.run_with_memory(progs);
@@ -288,14 +291,14 @@ fn probe_delay_bounded_by_max_lease_time() {
     let a = m.setup(|mem| mem.alloc_line_aligned(8));
     let progs: Vec<ThreadFn> = (0..4)
         .map(|_| {
-            Box::new(move |ctx: &mut ThreadCtx| {
+            program(async move |ctx: &mut ThreadCtx| {
                 for _ in 0..20 {
                     // Hold each lease to expiry (worst case).
-                    ctx.lease(a, 800);
-                    ctx.write(a, 1);
+                    ctx.lease(a, 800).await;
+                    ctx.write(a, 1).await;
                     ctx.work(3_000);
                 }
-            }) as ThreadFn
+            })
         })
         .collect();
     let stats = m.run(progs);
@@ -311,10 +314,10 @@ fn probe_delay_bounded_by_max_lease_time() {
 }
 
 /// Cross-runtime determinism regression: golden statistics pinned
-/// across scheduler rewrites. The rendezvous scheduler (and any future
-/// scheduling change) must reproduce these *exact* numbers — simulated
-/// results are a function of the event order alone, never of how
-/// worker threads are woken. (Re-captured when the relaxed-commit
+/// across scheduler rewrites. The in-thread coroutine runtime (and any
+/// future scheduling change) must reproduce these *exact* numbers —
+/// simulated results are a function of the event order alone, never of
+/// how workloads are resumed. (Re-captured when the relaxed-commit
 /// executor landed: canonical per-tile event keys changed same-cycle
 /// tie-breaking, and allocator ops now ride a NoC round trip to the
 /// allocator home tile — both *simulated-timing* changes, applied
@@ -341,14 +344,14 @@ fn scheduler_golden_stats_for(kind: lease_release::machine::EventQueueKind) {
         let s = m.setup(|mem| TreiberStack::init(mem, StackVariant::Leased));
         let progs: Vec<ThreadFn> = (0..threads)
             .map(|_| {
-                Box::new(move |ctx: &mut ThreadCtx| {
+                program(async move |ctx: &mut ThreadCtx| {
                     for i in 0..60 {
-                        s.push(ctx, i + 1);
+                        s.push(ctx, i + 1).await;
                         ctx.count_op();
-                        s.pop(ctx);
+                        s.pop(ctx).await;
                         ctx.count_op();
                     }
-                }) as ThreadFn
+                })
             })
             .collect();
         m.run(progs)
