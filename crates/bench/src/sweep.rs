@@ -97,6 +97,14 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
+/// Cap the sim-cell worker count at host parallelism. Every cell's
+/// machine runs on one host thread of its own, whatever its engine
+/// partition count, so more concurrent cells than host threads only
+/// oversubscribe. Pure — the caller supplies host parallelism.
+pub fn clamp_jobs(jobs: usize, host: usize) -> usize {
+    jobs.min(host).max(1)
+}
+
 /// Parse `LR_MAX_THREADS` (the sweep cap) exactly once, at plan time —
 /// [`threads_sweep`] itself is pure.
 pub fn max_threads_from_env() -> usize {
@@ -164,9 +172,18 @@ pub fn build_plan(opts: &PlanOpts) -> Plan {
         .windows(2)
         .all(|w| !(w[0].scenario.kind != ScenarioKind::Sim
             && w[1].scenario.kind == ScenarioKind::Sim)));
+    let jobs = clamp_jobs(opts.jobs.max(1), host_cap);
+    if jobs < opts.jobs.max(1) {
+        eprintln!(
+            "lr-bench: clamping --jobs {} to {jobs}: every cell runs on one \
+             host thread and the host has {host_cap} (output is byte-identical \
+             for any job count)",
+            opts.jobs.max(1)
+        );
+    }
     Plan {
         cells,
-        jobs: opts.jobs.max(1),
+        jobs,
         json: opts.json.clone(),
         record_dir: opts.record_dir.clone(),
     }
@@ -406,5 +423,18 @@ mod tests {
     fn explicit_ops_override_beats_env_default() {
         let sc = scenarios::find("fig2_stack").unwrap();
         assert_eq!(resolve_ops(sc, Some(7)), 7);
+    }
+
+    #[test]
+    fn jobs_clamp_respects_host_parallelism_budget() {
+        // Within the host's threads: jobs pass through untouched.
+        assert_eq!(clamp_jobs(8, 8), 8);
+        assert_eq!(clamp_jobs(3, 8), 3);
+        assert_eq!(clamp_jobs(1, 8), 1);
+        // One host thread per cell on an 8-way host: at most 8 cells.
+        assert_eq!(clamp_jobs(64, 8), 8);
+        // Degenerate inputs stay sane: never zero.
+        assert_eq!(clamp_jobs(0, 0), 1);
+        assert_eq!(clamp_jobs(8, 0), 1);
     }
 }

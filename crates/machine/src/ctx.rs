@@ -1,33 +1,13 @@
 //! The workload-side simulated-instruction API.
 
-use crate::proto::{AddrVec, Op, Reply, Request};
+use crate::proto::{AddrVec, Op, Reply};
+use crate::rendezvous::Mailbox;
 use lr_lease::LeaseOps;
 use lr_sim_core::{Addr, Cycle, LeaseConfig, SplitMix64};
-use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll};
-
-/// One core's handoff cell between its [`ThreadCtx`] (inside the
-/// workload future) and the engine-side live source that polls that
-/// future. Both live on the engine's thread, so plain `Cell`s suffice:
-/// an instruction posts its [`Request`] and suspends, the engine puts
-/// the [`Reply`] here and polls the future again.
-///
-/// The core's clock and retirement counters live here too, so the
-/// source can build the core's `Exit` however its future ended.
-#[derive(Default)]
-pub(crate) struct Mailbox {
-    pub(crate) req: Cell<Option<Request>>,
-    pub(crate) reply: Cell<Option<Reply>>,
-    pub(crate) time: Cell<Cycle>,
-    pub(crate) instructions: Cell<u64>,
-    pub(crate) ops: Cell<u64>,
-    /// `Some` only on recording runs: times of the barrier markers
-    /// noted since the source last drained them.
-    pub(crate) marks: Option<RefCell<Vec<Cycle>>>,
-}
 
 /// One simulated instruction: the first poll advances the core's clock
 /// by the instruction cost, posts the request and suspends; the poll
@@ -42,24 +22,12 @@ struct Issue<'a> {
 impl Future for Issue<'_> {
     type Output = Reply;
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Reply> {
-        let mb = self.mb;
         if let Some(op) = self.op.take() {
-            let at = mb.time.get() + self.cost;
-            mb.time.set(at);
-            mb.instructions.set(mb.instructions.get() + 1);
-            let tid = self.tid;
-            let prev = mb.req.replace(Some(Request { tid, at, op }));
-            assert!(
-                prev.is_none(),
-                "core {tid}: a second simulated instruction was issued while one is in flight"
-            );
+            self.mb.post(self.tid, self.cost, op);
             return Poll::Pending;
         }
-        match mb.reply.take() {
-            Some(r) => {
-                mb.time.set(r.time);
-                Poll::Ready(r)
-            }
+        match self.mb.take_reply() {
+            Some(r) => Poll::Ready(r),
             None => Poll::Pending,
         }
     }

@@ -10,9 +10,10 @@
 //! handoff — a live run is just one more [`OpSource`], driven by the
 //! same executors as engine-only replay.
 
-use crate::ctx::{Mailbox, ThreadCtx};
+use crate::ctx::ThreadCtx;
 use crate::machine::OpSource;
 use crate::proto::{Op, Reply, Request};
+use crate::rendezvous::Mailbox;
 use lr_sim_core::tracefmt::{OpRecord, TraceOp};
 use lr_sim_core::SystemConfig;
 use std::cell::RefCell;
