@@ -39,10 +39,11 @@ diff -ru "$AB_DIR/json_heap" "$AB_DIR/json_wheel"
 rm -rf "$AB_DIR"
 
 echo "== engine-shards A/B: 1 vs 4 partitions must be byte-identical =="
-# The PDES executor axis: every deterministic (sim) scenario, run once
-# single-partition and once with 4 conservatively-synchronized engine
-# partitions. Rows and every BENCH_*.json must not differ by one byte —
-# the partitioned executor must be invisible in simulated results.
+# The partitioned event-store axis: every deterministic (sim) scenario,
+# run once single-partition and once with 4 engine partitions (outbox
+# delivery + (time, key) merge). Rows and every BENCH_*.json must not
+# differ by one byte — partitioning must be invisible in simulated
+# results.
 SH_DIR=$(mktemp -d)
 mkdir -p "$SH_DIR/json_s1" "$SH_DIR/json_s4"
 LR_ENGINE_SHARDS=1 LR_JSON_DIR="$SH_DIR/json_s1" \
@@ -55,32 +56,8 @@ diff -u "$SH_DIR/rows_s1.txt" "$SH_DIR/rows_s4.txt"
 diff -ru "$SH_DIR/json_s1" "$SH_DIR/json_s4"
 rm -rf "$SH_DIR"
 
-echo "== commit-mode A/B: lockstep vs relaxed must be byte-identical =="
-# The commit-schedule axis: every deterministic (sim) scenario, run once
-# with the lockstep executor (one event at a time in global order) and
-# once with the relaxed executor (per-partition safe-window batches),
-# both at 4 engine partitions. Rows and every BENCH_*.json must not
-# differ by one byte — the simulation must not notice the schedule.
-CM_DIR=$(mktemp -d)
-mkdir -p "$CM_DIR/json_lock" "$CM_DIR/json_rel"
-LR_ENGINE_SHARDS=4 LR_ENGINE_COMMIT=lockstep LR_JSON_DIR="$CM_DIR/json_lock" \
-    cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
-    --smoke --jobs 2 --kind sim | grep -v "^JSON -> " > "$CM_DIR/rows_lock.txt"
-LR_ENGINE_SHARDS=4 LR_ENGINE_COMMIT=relaxed LR_JSON_DIR="$CM_DIR/json_rel" \
-    cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
-    --smoke --jobs 2 --kind sim | grep -v "^JSON -> " > "$CM_DIR/rows_rel.txt"
-diff -u "$CM_DIR/rows_lock.txt" "$CM_DIR/rows_rel.txt"
-diff -ru "$CM_DIR/json_lock" "$CM_DIR/json_rel"
-rm -rf "$CM_DIR"
-
 echo "== engine throughput smoke (gates on completion, not numbers) =="
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario engine_throughput --smoke > /dev/null
-
-echo "== PDES scaling smoke (asserts identical stats + batch occupancy) =="
-# The scenario itself asserts, in-cell, that every (commit mode x shard
-# count) series is byte-identical to the sequential run and that the
-# relaxed series commit more than one event per window batch.
-LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario pdes_scaling --smoke > /dev/null
 
 echo "== lock showdown smoke (asserts zero allocator msgs + combiner ledger) =="
 # Delegation locks (MCS/CLH/FC/CCSynch + lease hybrids) vs the paper's
@@ -89,8 +66,7 @@ echo "== lock showdown smoke (asserts zero allocator msgs + combiner ledger) =="
 # (node pools are pre-allocated), that every delegated op is combined
 # exactly once, and that the stack's push/pop/empty ledger balances.
 # As a ScenarioKind::Sim entry it also rides every --kind sim A/B gate
-# above (event-queue, engine-shards, commit-mode) and the record/replay
-# gate below.
+# above (event-queue, engine-shards) and the record/replay gate below.
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario lock_showdown --smoke > /dev/null
 
 echo "== NUMA serving smoke (asserts op ledger + cross-socket traffic shape) =="
@@ -102,12 +78,12 @@ echo "== NUMA serving smoke (asserts op ledger + cross-socket traffic shape) =="
 # sockets=1 degeneracy), and that multi-socket cells with workers on
 # more than one socket actually cross the link. As a ScenarioKind::Sim
 # entry it also rides every --kind sim A/B gate above (event-queue,
-# engine-shards, commit-mode) and the record/replay gate below.
+# engine-shards) and the record/replay gate below.
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario numa_serving --smoke > /dev/null
-# The kilo-core cell: 1024 simulated cores across 4 sockets, driven by
-# the partitioned relaxed executor — the scale the NUMA tier exists for.
-# The same in-cell ledger and cross-socket asserts gate it.
-LR_ENGINE_SHARDS=4 LR_ENGINE_COMMIT=relaxed LR_NO_JSON=1 \
+# The kilo-core cell: 1024 simulated cores across 4 sockets, on a
+# 4-partition event store — the scale the NUMA tier exists for. The
+# same in-cell ledger and cross-socket asserts gate it.
+LR_ENGINE_SHARDS=4 LR_NO_JSON=1 \
     cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
     --scenario numa_serving --threads 1024 --ops 8 --series .s4 > /dev/null
 
@@ -127,8 +103,8 @@ rm -rf "$TR_DIR"
 echo "== fuzz farm: seeded differential campaign, twice, diffed =="
 # Replay-driven differential fuzzing over a fixed seed range: each seed
 # records live under msi/mesi/lease-tight, replays every trace under
-# both event-queue stores crossed with shard/commit combos (1 lockstep,
-# 2 lockstep, 2 relaxed), and checks the workload's built-in FAA-ledger
+# both event-queue stores crossed with engine partition counts 1 and 2,
+# and checks the workload's built-in FAA-ledger
 # and app-ops invariants. The campaign runs twice and the outputs are
 # diffed: the farm itself must be byte-deterministic. LR_FUZZ_SEEDS
 # opts in to a longer run (default 64 seeds, sub-second).
@@ -150,8 +126,7 @@ rm -rf "$FZ_DIR"
 
 echo "== fuzz farm: checked-in regression corpus =="
 # Every committed trace must replay byte-identical under both event
-# queues crossed with engine partition counts 1, 2, and 4 crossed with
-# both commit modes (lockstep and relaxed).
+# queues crossed with engine partition counts 1, 2, and 4.
 # Regenerate with: lr-fuzz --regen-corpus corpus --seeds 4
 cargo run -q --release --offline -p lr-fuzz --bin lr-fuzz -- \
     --check-corpus corpus

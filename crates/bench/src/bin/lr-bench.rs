@@ -52,8 +52,8 @@ ENVIRONMENT:
     LR_NO_JSON=1    disable the JSON export
     LR_TRACE_DIR    entry-point alias for --record (read once at startup,
                     never consulted by sweep workers)
-    LR_ENGINE_SHARDS engine partitions per simulation (PDES executor;
-                    simulated output is byte-identical for any value)
+    LR_ENGINE_SHARDS engine partitions per simulation (partitioned
+                    event store; simulated output is byte-identical for any value)
 ";
 
 /// Per-thread ops for `--smoke`: small enough that all 19 scenarios

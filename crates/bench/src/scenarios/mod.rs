@@ -23,7 +23,6 @@ pub mod fig5_pagerank;
 pub mod fig5_tl2_swhw;
 pub mod lock_showdown;
 pub mod numa_serving;
-pub mod pdes_scaling;
 pub mod tab_adaptive;
 pub mod tab_backoff;
 pub mod tab_lease_sensitivity;
@@ -33,11 +32,11 @@ pub mod tab_msg_constancy;
 pub mod trace_replay;
 pub mod validation_native;
 
-/// All 20 scenarios (15 paper experiments, the delegation-lock
-/// showdown, the NUMA serving comparison, plus the engine-throughput,
-/// PDES-scaling, and trace-replay infrastructure benches), in canonical
-/// (figure, table, validation) order; host-measured scenarios last.
-static REGISTRY: [&Scenario; 20] = [
+/// All 19 scenarios (15 paper experiments, the delegation-lock
+/// showdown, the NUMA serving comparison, plus the engine-throughput
+/// and trace-replay infrastructure benches), in canonical (figure,
+/// table, validation) order; host-measured scenarios last.
+static REGISTRY: [&Scenario; 19] = [
     &fig2_stack::SCENARIO,
     &fig3_counter::SCENARIO,
     &fig3_queue::SCENARIO,
@@ -56,7 +55,6 @@ static REGISTRY: [&Scenario; 20] = [
     &numa_serving::SCENARIO,
     &validation_native::SCENARIO,
     &engine_throughput::SCENARIO,
-    &pdes_scaling::SCENARIO,
     &trace_replay::SCENARIO,
 ];
 

@@ -27,9 +27,9 @@
 //! eviction) are now follow-on messages ([`CohEvent::InvArrive`],
 //! [`CohEvent::DirUpdate`], [`CohEvent::Writeback`],
 //! [`CohEvent::SharerDrop`], [`CohEvent::BackInval`]) carrying a real
-//! NoC latency. Because that latency is at least
-//! [`CoherenceEngine::noc_min_lookahead`], a partitioned executor can
-//! commit events of different tiles concurrently within that window.
+//! NoC latency, at least [`CoherenceEngine::noc_min_lookahead`] — the
+//! lookahead every cross-partition push into the partitioned event
+//! store honours.
 //!
 //! In debug and `strict-invariants` builds, every tile-slice access
 //! asserts that the touched tile equals the executing tile, so a
@@ -122,33 +122,17 @@ pub struct CoherenceEngine {
     l2: Vec<SetAssocCache<DirState>>,
     /// Per-tile mutable protocol state.
     tiles: Vec<TileState>,
-    /// Per-tile machine-level counters (`cores` left empty; merged by
-    /// [`CoherenceEngine::stats`]). A relaxed executor accumulates into
-    /// these concurrently — one block per partition-owned tile — and
-    /// the deterministic tile-order merge reproduces the sequential
-    /// totals exactly.
+    /// Per-tile machine-level counters (`cores` left empty; merged in
+    /// tile order by [`CoherenceEngine::stats`]).
     tile_stats: Vec<MachineStats>,
     /// Per-core counters (tile i owns entry i).
     core_stats: Vec<CoreStats>,
-    /// Gate for mid-flight per-line invariant sweeps (`strict-invariants`
-    /// builds): the sweep reads every tile's L1, which is only safe when
-    /// partitions are synchronized, so the relaxed executor turns it off
-    /// and relies on the quiescence check.
-    #[cfg_attr(not(feature = "strict-invariants"), allow(dead_code))]
-    strict_at: bool,
-}
-
-thread_local! {
-    /// Tile executing the current entry point (access/handle/...) on
-    /// *this host thread*. Thread-local rather than an engine field
-    /// because the relaxed executor calls entry points for different
-    /// partitions concurrently from different host threads: a shared
-    /// cursor would race (clobbering the ownership guard and routing
-    /// [`CoherenceEngine::cur_stats`] to the wrong tile block). Each
+    /// Tile executing the current entry point (access/handle/...). Each
     /// entry point sets it before touching tile state and never calls
     /// back into another entry point, so the value is stable for the
-    /// dynamic extent of each call.
-    static CUR: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// dynamic extent of each call: it routes
+    /// [`CoherenceEngine::cur_stats`] and backs the tile-ownership guard.
+    cur: usize,
 }
 
 impl CoherenceEngine {
@@ -172,7 +156,7 @@ impl CoherenceEngine {
             tiles: (0..cfg.num_cores).map(|_| TileState::default()).collect(),
             tile_stats: (0..cfg.num_cores).map(|_| MachineStats::new(0)).collect(),
             core_stats: vec![CoreStats::default(); cfg.num_cores],
-            strict_at: true,
+            cur: 0,
             cfg: cfg.clone(),
         }
     }
@@ -185,30 +169,6 @@ impl CoherenceEngine {
     /// without risking a causality violation.
     pub fn noc_min_lookahead(&self) -> Cycle {
         self.mesh.min_cross_latency()
-    }
-
-    /// Per-partition-pair refinement of
-    /// [`CoherenceEngine::noc_min_lookahead`]: entry `[p][q]` is the
-    /// minimum NoC latency of any message from a tile of partition `p`
-    /// to a tile of partition `q` under `map`. Mesh-distant — and above
-    /// all cross-socket — partition pairs admit much wider safe windows
-    /// than the global minimum over all tile pairs. The matrix is
-    /// symmetric (the mesh metric is), as the sharded queue requires.
-    pub fn pair_lookahead(&self, map: &lr_sim_core::PartitionMap) -> Vec<Vec<Cycle>> {
-        let parts = map.partitions();
-        let mut blocks = vec![(usize::MAX, 0usize); parts];
-        for t in 0..map.tiles() {
-            let b = &mut blocks[map.partition_of(t)];
-            b.0 = b.0.min(t);
-            b.1 = b.1.max(t + 1);
-        }
-        (0..parts)
-            .map(|p| {
-                (0..parts)
-                    .map(|q| self.mesh.min_latency_between(blocks[p], blocks[q]))
-                    .collect()
-            })
-            .collect()
     }
 
     /// Home tile (L2 slice / directory) of a line: stride interleaving
@@ -234,9 +194,9 @@ impl CoherenceEngine {
     fn assert_tile(&self, t: CoreId) {
         #[cfg(any(debug_assertions, feature = "strict-invariants"))]
         assert!(
-            t.idx() == CUR.get(),
+            t.idx() == self.cur,
             "tile-ownership violated: handler executing at tile {} touched tile {}",
-            CUR.get(),
+            self.cur,
             t.idx()
         );
         #[cfg(not(any(debug_assertions, feature = "strict-invariants")))]
@@ -275,7 +235,7 @@ impl CoherenceEngine {
 
     /// The executing tile's stats block.
     fn cur_stats(&mut self) -> &mut MachineStats {
-        &mut self.tile_stats[CUR.get()]
+        &mut self.tile_stats[self.cur]
     }
 
     fn cstats(&mut self, c: CoreId) -> &mut CoreStats {
@@ -286,9 +246,8 @@ impl CoherenceEngine {
     // ---- public surface --------------------------------------------------
 
     /// Protocol statistics: per-tile blocks merged in tile order plus the
-    /// per-core counters. The merge is deterministic and identical to
-    /// sequential accumulation, so relaxed and lockstep executors report
-    /// byte-identical numbers.
+    /// per-core counters. The merge is deterministic, so every partition
+    /// count reports byte-identical numbers.
     pub fn stats(&self) -> MachineStats {
         let mut m = MachineStats::new(0);
         m.cores = self.core_stats.clone();
@@ -302,7 +261,7 @@ impl CoherenceEngine {
     /// accounting (instructions, ops, lease counters). An entry point:
     /// the machine calls it while executing an event at `c`'s tile.
     pub fn core_stats_mut(&mut self, c: CoreId) -> &mut CoreStats {
-        CUR.set(c.idx());
+        self.cur = c.idx();
         &mut self.core_stats[c.idx()]
     }
 
@@ -320,7 +279,7 @@ impl CoherenceEngine {
     /// pinned so they cannot be picked as eviction victims). An entry
     /// point: executes at `core`'s tile.
     pub fn pin(&mut self, core: CoreId, line: LineAddr, pinned: bool) -> bool {
-        CUR.set(core.idx());
+        self.cur = core.idx();
         self.l1[core.idx()].set_pinned(line, pinned)
     }
 
@@ -332,13 +291,6 @@ impl CoherenceEngine {
     /// Number of in-flight transactions (for quiescence checks).
     pub fn in_flight(&self) -> usize {
         self.tiles.iter().map(|t| t.outstanding as usize).sum()
-    }
-
-    /// Enable/disable mid-flight per-line invariant sweeps (on by
-    /// default; the relaxed executor disables them because the sweep
-    /// reads other partitions' L1s).
-    pub fn set_strict_at(&mut self, on: bool) {
-        self.strict_at = on;
     }
 
     /// Uncharged control-message latency between two tiles (for machine
@@ -414,7 +366,7 @@ impl CoherenceEngine {
         regular: bool,
         ctx: &mut dyn CohContext,
     ) -> Option<Cycle> {
-        CUR.set(core.idx());
+        self.cur = core.idx();
         if lease_intent {
             debug_assert!(kind.needs_exclusive(), "leases demand Exclusive state");
         }
@@ -480,7 +432,7 @@ impl CoherenceEngine {
     /// engine passed to [`CohContext::schedule`]): the handler executes
     /// there and only mutates that tile's state.
     pub fn handle(&mut self, now: Cycle, at: CoreId, ev: CohEvent, ctx: &mut dyn CohContext) {
-        CUR.set(at.idx());
+        self.cur = at.idx();
         match ev {
             CohEvent::DirArrive(x) => self.dir_arrive(now, x, ctx),
             CohEvent::ProbeArrive(x, o) => {
@@ -508,7 +460,7 @@ impl CoherenceEngine {
         line: LineAddr,
         ctx: &mut dyn CohContext,
     ) {
-        CUR.set(core.idx());
+        self.cur = core.idx();
         self.l1_mut(core).set_pinned(line, false);
         if let Some(p) = self.tile_mut(core).stalled.remove(&line) {
             self.cstats(core).probe_queued_cycles += now - p.since;
@@ -589,9 +541,7 @@ impl CoherenceEngine {
         // landed before its grant. Only victim messages may still be in
         // flight, so the sweep checks the single-writer property only.
         #[cfg(feature = "strict-invariants")]
-        if self.strict_at {
-            self.check_invariants_at(line);
-        }
+        self.check_invariants_at(line);
         if let Some(next) = next {
             self.tile_mut(home).channels.get_mut(&line).unwrap().active = Some(next);
             self.cur_stats().dir_queue_wait_cycles += now - next.enq_time;
@@ -995,9 +945,7 @@ impl CoherenceEngine {
         // checked at this transaction's DirUnlock, once the in-flight
         // DirUpdate has landed).
         #[cfg(feature = "strict-invariants")]
-        if self.strict_at {
-            self.check_invariants_at(line);
-        }
+        self.check_invariants_at(line);
         let done = now + self.cfg.l1_latency;
         if lease_intent {
             ctx.exclusive_granted(core, line, done);

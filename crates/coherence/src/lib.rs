@@ -27,9 +27,9 @@
 //! tile's slice of engine state — its L1, its L2/directory slice, its
 //! channel table, its stats block. Any protocol step that needs to
 //! touch a *different* tile is split off as a follow-on [`CohEvent`]
-//! scheduled with a real NoC latency. This is what lets a partitioned
-//! executor commit events of different tiles concurrently: there is no
-//! hidden shared state between handlers, only messages. In debug (and
+//! scheduled with a real NoC latency. There is no hidden shared state
+//! between handlers, only messages, so the global event order does not
+//! depend on how tiles are partitioned. In debug (and
 //! `strict-invariants`) builds every tile-slice access is checked
 //! against the executing tile and panics on a violation.
 

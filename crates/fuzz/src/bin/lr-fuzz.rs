@@ -27,8 +27,9 @@ MODES (default: campaign):
     campaign             Check every seed in [S, S+N): record live under
                          msi/mesi/lease-tight, verify each trace by
                          engine-only replay under heap AND wheel event
-                         queues, check FAA-ledger + app-ops invariants,
-                         probe decoder robustness. Any finding is shrunk
+                         queues x engine partition counts 1 and 2 (12
+                         replays per seed), check FAA-ledger + app-ops
+                         invariants, probe decoder robustness. Any finding is shrunk
                          to a minimal reproducer, persisted to the repro
                          dir, and fails the run.
     --self-test          Inject a reply mutation into a real recording
@@ -36,7 +37,8 @@ MODES (default: campaign):
     --regen-corpus DIR   (Re)write the healthy corpus entries for the
                          first N seeds under every variant.
     --check-corpus DIR   Replay every *.lrt in DIR under both event
-                         queues; exit non-zero on any divergence.
+                         queues x partition counts 1/2/4; exit non-zero
+                         on any divergence.
 
 OPTIONS:
     --seeds N            Campaign/corpus seed count (default:
@@ -221,7 +223,7 @@ fn main() {
             Ok((files, ops)) => {
                 println!(
                     "lr-fuzz: corpus clean — {files} trace(s), {ops} ops replayed byte-identical \
-                     under heap and wheel queues x shard counts 1/2/4 x lockstep and relaxed commit"
+                     under heap and wheel queues x shard counts 1/2/4"
                 );
                 return;
             }

@@ -123,8 +123,7 @@ pub use barrier::SimBarrier;
 pub use ctx::ThreadCtx;
 pub use live::{program, ThreadFn};
 pub use machine::{
-    engine_commit_from_env, engine_shards_from_env, CommitMode, EngineInfo, Machine, OpSource,
-    RecordedRun, SourceAbort, TraceOutput,
+    engine_shards_from_env, EngineInfo, Machine, OpSource, RecordedRun, SourceAbort, TraceOutput,
 };
 pub use proto::{AddrVec, Op, Reply, Request};
 

@@ -7,23 +7,20 @@
 //! core's local issue time and an `OpComplete` event at its
 //! protocol-determined completion time. Every event names the tile it
 //! executes at ([`Ev::tile`]), and applying it touches only that tile's
-//! slice of machine state — its pending-op slot, its lease table, its
-//! partition's scratch buffers — mirroring the message-passing handler
-//! discipline of `lr-coherence`. The one piece of genuinely global
+//! slice of machine state — its pending-op slot, its lease table —
+//! mirroring the message-passing handler discipline of `lr-coherence`. The one piece of genuinely global
 //! machine state, the heap allocator, is reached by message too:
 //! `Malloc`/`Free` are routed to a fixed *allocator home* tile
 //! ([`ALLOC_HOME`]) and the result rides back as [`Ev::MemReply`].
 //!
-//! ## Commit modes
+//! ## Commit order
 //!
-//! [`CommitMode::Lockstep`] applies events strictly in global
-//! `(time, key)` order, one at a time. [`CommitMode::Relaxed`] drives
-//! the safe-window API of [`ShardedQueue`]: each partition commits its
-//! whole window batch in turn, in a different order than global time,
-//! and the tile-local discipline above guarantees the simulated results
-//! are byte-identical anyway.
-//! The shard A/B tests and the CI lockstep-vs-relaxed gate hold us to
-//! that, byte for byte.
+//! Every run applies events one at a time, in the global `(time, key)`
+//! order [`ShardedQueue::pop_global`] merges out of its partitions. The
+//! canonical keys make that order independent of the partition count,
+//! so the simulated results are byte-identical at every
+//! `LR_ENGINE_SHARDS`; the shard A/B tests and the CI shards 1-vs-4
+//! gate hold us to that, byte for byte.
 
 use crate::live::{LiveSource, ThreadFn};
 use crate::proto::{Op, Reply, Request, ALLOC_COST};
@@ -76,59 +73,6 @@ pub fn engine_shards_from_env() -> usize {
     cached
 }
 
-/// How a partitioned engine commits each safe window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommitMode {
-    /// One event at a time, in global `(time, key)` order: the
-    /// sequential loop. The A/B reference for relaxed commit.
-    Lockstep,
-    /// Whole safe-window batches per partition, one partition after
-    /// another. Simulated results are identical to lockstep by
-    /// construction.
-    Relaxed,
-}
-
-impl std::fmt::Display for CommitMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CommitMode::Lockstep => f.write_str("lockstep"),
-            CommitMode::Relaxed => f.write_str("relaxed"),
-        }
-    }
-}
-
-static COMMIT_FROM_ENV: OnceLock<CommitMode> = OnceLock::new();
-
-fn parse_commit_env() -> CommitMode {
-    match std::env::var("LR_ENGINE_COMMIT") {
-        Err(_) => CommitMode::Relaxed,
-        Ok(v) => match v.as_str() {
-            "lockstep" => CommitMode::Lockstep,
-            "relaxed" => CommitMode::Relaxed,
-            _ => panic!("LR_ENGINE_COMMIT={v:?} is not \"lockstep\" or \"relaxed\""),
-        },
-    }
-}
-
-/// The process-wide default commit mode, from `LR_ENGINE_COMMIT`
-/// (`lockstep` | `relaxed`; default relaxed — the modes only differ in
-/// host execution shape, never in simulated results).
-///
-/// Cached process-wide on first read, like [`engine_shards_from_env`]:
-/// debug builds assert the environment still matches the cache on every
-/// subsequent read, so an in-process `set_var` misfires loudly. Tests
-/// should pin the mode per machine via [`Machine::with_commit_mode`].
-pub fn engine_commit_from_env() -> CommitMode {
-    let cached = *COMMIT_FROM_ENV.get_or_init(parse_commit_env);
-    debug_assert_eq!(
-        cached,
-        parse_commit_env(),
-        "LR_ENGINE_COMMIT changed after its first read was cached; \
-         per-machine control belongs to Machine::with_commit_mode"
-    );
-    cached
-}
-
 /// The tile that owns the simulated heap allocator. `Malloc`/`Free`
 /// mutate one global free list, so they execute as messages delivered
 /// here — the only machine-layer state reached by routing rather than
@@ -145,11 +89,9 @@ const ALLOC_HOME: usize = 0;
 /// how `lr-replay` surfaces divergence between a recorded trace and the
 /// engine's behaviour.
 ///
-/// Calls for different `tid`s arrive in executor-dependent order (the
-/// relaxed executor drains per-partition window batches, not global time
-/// order), but each core's own `next`/`observe` alternation is always in
-/// that core's program order — sources must key their state by `tid`,
-/// never by global call order.
+/// Calls for different `tid`s arrive in the engine's global commit
+/// order; each core's own `next`/`observe` alternation is always in
+/// that core's program order. Sources key their state by `tid`.
 pub trait OpSource {
     /// The next request core `tid` issues (or its `Op::Exit`).
     fn next(&mut self, tid: usize) -> Result<Request, String>;
@@ -271,19 +213,12 @@ pub struct EngineInfo {
     pub cross_events: u64,
     /// Events whose timestamp preceded every other partition's safe
     /// horizon (head + lookahead): the events a conservative PDES
-    /// executor may commit concurrently without risking causality.
-    /// Maintained on the `pop_global` (lockstep) path.
+    /// executor could commit concurrently without risking causality.
     pub concurrent_events: u64,
-    /// Safe-time epochs the partitioned clocks advanced through
-    /// (`pop_global` path).
+    /// Safe-time epochs the global clock advanced through.
     pub epochs: u64,
     /// Conservative lookahead (cycles) stamped on cross-partition sends.
     pub lookahead: Cycle,
-    /// Non-empty per-partition window batches the relaxed executor
-    /// committed (0 under lockstep driving).
-    pub commit_batches: u64,
-    /// Largest single per-partition window batch committed.
-    pub max_batch: u64,
     /// Heap ops (`Malloc`/`Free`) routed as messages to the allocator
     /// home tile — each one a NoC round trip charged to the issuing
     /// thread. Steady-state scenarios built on pre-allocated pools
@@ -304,17 +239,15 @@ fn queue_info(q: &ShardedQueue<Ev>) -> EngineInfo {
         concurrent_events: q.concurrent_events(),
         epochs: q.epochs(),
         lookahead: q.lookahead(),
-        commit_batches: q.commit_batches(),
-        max_batch: q.max_batch(),
-        // Counted per partition while applying `Ev::MemReq`; summed in
-        // by the run loop, which owns the partition contexts.
+        // Counted while applying `Ev::MemReq`; filled in by the run
+        // loop, which owns the engine-call context.
         alloc_msgs: 0,
     }
 }
 
 /// Engine events. Every variant executes at exactly one tile
 /// ([`Ev::tile`]), and applying it touches only state owned by that
-/// tile — the property that makes relaxed window commit sound.
+/// tile.
 #[derive(Debug)]
 enum Ev {
     /// Fetch the core's first request.
@@ -387,8 +320,8 @@ enum Pending {
     },
 }
 
-/// Reusable machine-loop buffers, one set per partition.
-/// Deferred-effect staging ping-pongs between here and [`PartCtx`] (see
+/// Reusable machine-loop buffers. Deferred-effect staging ping-pongs
+/// between here and [`PartCtx`] (see
 /// [`EngineCore::drain`]) so the steady-state loop performs no per-event
 /// heap allocation.
 #[derive(Default)]
@@ -400,11 +333,9 @@ struct Scratch {
     lines: Vec<LineAddr>,
 }
 
-/// Machine state shared across partitions. Every access is keyed by the
-/// executing event's tile — queue pushes by source partition, lease
-/// tables and counters by core — so window commits touch disjoint
-/// slices. The structured trace ring is the exception: it is one
-/// window over the whole machine, in commit order.
+/// Machine state the [`CohContext`] hooks reach: the event store, the
+/// per-core lease tables and counters, and the structured trace ring
+/// (one window over the whole machine, in commit order).
 struct Shared {
     queue: ShardedQueue<Ev>,
     tables: Vec<LeaseTable>,
@@ -415,11 +346,10 @@ struct Shared {
     trace: TraceRing,
 }
 
-/// Per-partition engine-call context: the base time/tile of the event
-/// being applied (every `schedule` is relative to them, and the tile
-/// both stamps the canonical push key and names the source partition)
-/// plus the deferred-effect and reuse buffers that used to be global —
-/// one set per partition, so each partition's window batch has its own.
+/// Engine-call context: the base time/tile of the event being applied
+/// (every `schedule` is relative to them, and the tile both stamps the
+/// canonical push key and names the source partition) plus the
+/// deferred-effect and reuse buffers.
 #[derive(Default)]
 struct PartCtx {
     /// Base time of the engine call in progress (schedule() is relative).
@@ -438,18 +368,14 @@ struct PartCtx {
     pinned_scratch: Vec<LineAddr>,
     /// Reusable buffer for counters armed by an exclusive grant.
     armed_scratch: Vec<ArmedCounter>,
-    /// Events this partition applied — its share of the watchdog event
-    /// budget (the exact global count is only read at executor
-    /// synchronization points).
-    applied: u64,
     /// `Ev::MemReq` events (heap ops routed to the allocator home tile)
-    /// this partition applied; summed into [`EngineInfo::alloc_msgs`].
+    /// applied; reported as [`EngineInfo::alloc_msgs`].
     alloc_msgs: u64,
 }
 
-/// The [`CohContext`] the engine sees: the tile-sliced shared state plus
-/// the executing partition's context, borrowed disjointly from
-/// [`EngineCore`] for the duration of one engine call.
+/// The [`CohContext`] the engine sees: the shared machine state plus
+/// the engine-call context, borrowed disjointly from [`EngineCore`] for
+/// the duration of one engine call.
 struct Ctx<'a> {
     shared: &'a mut Shared,
     ps: &'a mut PartCtx,
@@ -631,14 +557,8 @@ pub struct Machine {
     /// Explicit engine-partition override; `None` follows the
     /// process-wide `LR_ENGINE_SHARDS` default.
     engine_shards: Option<usize>,
-    /// Explicit commit-mode override; `None` follows the process-wide
-    /// `LR_ENGINE_COMMIT` default.
-    commit: Option<CommitMode>,
     /// When set, a live run records itself and writes the trace here.
     trace_out: Option<TraceOutput>,
-    /// Skip the distance-aware per-partition-pair lookahead matrix and
-    /// run the uniform scalar window (the pre-refinement behaviour).
-    uniform_lookahead: bool,
 }
 
 // The `lr-bench` sweep driver constructs and runs one `Machine` per
@@ -666,9 +586,7 @@ impl Machine {
             trace_depth: 0,
             eventq: None,
             engine_shards: None,
-            commit: None,
             trace_out: None,
-            uniform_lookahead: false,
         }
     }
 
@@ -681,33 +599,14 @@ impl Machine {
         self
     }
 
-    /// Partition the engine into `n` conservatively-synchronized PDES
-    /// partitions (tile slices), bypassing the `LR_ENGINE_SHARDS`
-    /// process default. `n` is clamped to `[1, num_cores]`; 1 is the
-    /// classic single event loop. Simulated results are required to be
-    /// byte-identical for every shard count — the shard A/B tests and
-    /// the CI gate prove it; production callers keep the default.
+    /// Split the event store into `n` partitions (tile slices),
+    /// bypassing the `LR_ENGINE_SHARDS` process default. `n` is clamped
+    /// to `[1, num_cores]`; 1 is the classic single event queue.
+    /// Simulated results are required to be byte-identical for every
+    /// shard count — the shard A/B tests and the CI gate prove it;
+    /// production callers keep the default.
     pub fn with_engine_shards(mut self, n: usize) -> Self {
         self.engine_shards = Some(n.max(1));
-        self
-    }
-
-    /// Fall back to the uniform scalar lookahead instead of the
-    /// distance-aware per-partition-pair matrix. Simulated results are
-    /// byte-identical either way (the matrix only widens safe windows,
-    /// it never reorders commits); this exists for the occupancy A/B
-    /// in the `pdes_scaling` benchmark scenario.
-    pub fn with_uniform_lookahead(mut self) -> Self {
-        self.uniform_lookahead = true;
-        self
-    }
-
-    /// Pin this machine to a commit mode, bypassing the
-    /// `LR_ENGINE_COMMIT` process default. Simulated results are
-    /// required to be byte-identical across modes — the commit A/B
-    /// tests and the CI lockstep-vs-relaxed gate prove it.
-    pub fn with_commit_mode(mut self, mode: CommitMode) -> Self {
-        self.commit = Some(mode);
         self
     }
 
@@ -775,8 +674,8 @@ impl Machine {
     }
 
     /// Like [`Machine::run_counted`], returning the full [`EngineInfo`]
-    /// (shard count, cross-partition traffic, concurrency headroom) for
-    /// the PDES-scaling measurements instead of the bare event count.
+    /// (shard count, cross-partition traffic, concurrency headroom)
+    /// instead of the bare event count.
     pub fn run_counted_info(
         self,
         programs: Vec<ThreadFn>,
@@ -859,7 +758,6 @@ impl Machine {
             .unwrap_or_else(engine_shards_from_env)
             .clamp(1, cfg.num_cores);
         let kind = self.eventq.unwrap_or_else(EventQueueKind::from_env);
-        let commit = self.commit.unwrap_or_else(engine_commit_from_env);
         assert!(n >= 1, "no workload threads");
         assert!(
             n <= cfg.num_cores,
@@ -877,25 +775,8 @@ impl Machine {
         let lookahead = engine
             .noc_min_lookahead()
             .min(cfg.l2_tag_latency + cfg.l2_data_latency + 1);
-        let mut queue = ShardedQueue::with_kind(kind, cfg.num_cores, shards, lookahead);
-        // Distance-aware refinement: a pair of partitions exchanges
-        // events no faster than the cheapest NoC message between their
-        // tile blocks, so mesh-distant (and above all cross-socket)
-        // pairs admit proportionally wider safe windows. The same
-        // eviction-race cap as the scalar applies per pair, which also
-        // keeps every entry ≥ the scalar.
-        if queue.map().partitions() > 1 && !self.uniform_lookahead {
-            let cap = cfg.l2_tag_latency + cfg.l2_data_latency + 1;
-            let m: Vec<Vec<Cycle>> = engine
-                .pair_lookahead(&queue.map())
-                .into_iter()
-                .map(|row| row.into_iter().map(|v| v.min(cap)).collect())
-                .collect();
-            queue.set_pair_lookahead(m);
-        }
-        let parts = queue.map().partitions();
         let mut shared = Shared {
-            queue,
+            queue: ShardedQueue::with_kind(kind, cfg.num_cores, shards, lookahead),
             tables: (0..cfg.num_cores)
                 .map(|_| LeaseTable::new(cfg.lease.clone()))
                 .collect(),
@@ -913,8 +794,8 @@ impl Machine {
             cfg,
             engine,
             shared,
-            pctx: (0..parts).map(|_| PartCtx::default()).collect(),
-            scratch: (0..parts).map(|_| Scratch::default()).collect(),
+            pctx: PartCtx::default(),
+            scratch: Scratch::default(),
             mem,
             source,
             pending: (0..n).map(|_| None).collect(),
@@ -931,30 +812,18 @@ impl Machine {
         // trace window, the in-flight protocol state, and every core's
         // lease table.
         //
-        // Executor choice (N = partitions after clamping): relaxed commit
-        // with N > 1 runs the windowed schedule, everything else the
-        // sequential loop, both on this thread. Both run the same
-        // per-event `apply`; the first commits in per-partition window
-        // order, the second in global `(time, key)` order — and the
-        // tile-local state discipline makes the simulated results
-        // byte-identical either way.
-        let relaxed = parts > 1 && commit == CommitMode::Relaxed;
-        if relaxed {
-            // Mid-flight per-line invariant sweeps read other tiles'
-            // caches — between window barriers that is spuriously wrong
-            // (a grant can commit before an earlier-timed invalidation
-            // settles in another partition's batch). Quiescence checks
-            // still run in finish_checks.
-            core.engine.set_strict_at(false);
-        }
+        // The event budget is checked here, once per event over the
+        // whole machine, so it is exact at every partition count.
         let c = &mut core;
         let loop_result = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
-            if relaxed {
-                run_relaxed_serial(c)?;
-            } else {
-                while let Some((t, p, ev)) = c.shared.queue.pop_global() {
-                    c.apply(p, t, ev)?;
+            let budget = c.cfg.watchdog_max_events;
+            let mut applied = 0u64;
+            while let Some((t, _, ev)) = c.shared.queue.pop_global() {
+                applied += 1;
+                if applied > budget {
+                    return Err("watchdog: event budget exceeded".to_string());
                 }
+                c.apply(t, ev)?;
             }
             c.finish_checks()
         }))
@@ -985,7 +854,7 @@ impl Machine {
         } = core;
 
         let mut info = queue_info(&shared.queue);
-        info.alloc_msgs = pctx.iter().map(|c| c.alloc_msgs).sum();
+        info.alloc_msgs = pctx.alloc_msgs;
         let mut stats = engine.stats();
         stats.total_cycles = finish_time;
         stats.app_ops = exit_ops.iter().sum();
@@ -1006,20 +875,16 @@ impl Machine {
 /// The engine state: protocol, lease tables, event store, simulated
 /// memory, the op source, and per-core completion bookkeeping.
 ///
-/// Every event goes through [`EngineCore::apply`] with the partition
-/// that owns it, and applying an event touches only state owned by the
-/// event's tile: its queue partition (plus the source-side outbox rows
-/// of the sharded queue), its tiles' engine slices, its cores' lease
-/// tables/counters/pending slots, its partition's context and scratch.
-/// The relaxed executor relies on exactly this — it applies each
-/// partition's window batch in turn, with cross-partition effects riding
-/// staged messages that are only delivered at window boundaries.
+/// Every event goes through [`EngineCore::apply`], in global
+/// `(time, key)` order, and applying an event touches only state owned
+/// by the event's tile: its tiles' engine slices and its cores' lease
+/// tables, counters and pending slots.
 struct EngineCore<'a> {
     cfg: SystemConfig,
     engine: CoherenceEngine,
     shared: Shared,
-    pctx: Vec<PartCtx>,
-    scratch: Vec<Scratch>,
+    pctx: PartCtx,
+    scratch: Scratch,
     mem: SimMemory,
     source: &'a mut dyn OpSource,
     pending: Vec<Option<Pending>>,
@@ -1032,33 +897,15 @@ struct EngineCore<'a> {
 }
 
 impl EngineCore<'_> {
-    /// Apply one popped event of partition `p` at time `t`: the single
-    /// step every executor is built from.
-    fn apply(&mut self, p: usize, t: Cycle, ev: Ev) -> Result<(), String> {
-        debug_assert_eq!(
-            self.shared.queue.map().partition_of(ev.tile()),
-            p,
-            "event applied by the wrong partition"
-        );
+    /// Apply one popped event at time `t`.
+    fn apply(&mut self, t: Cycle, ev: Ev) -> Result<(), String> {
         assert!(
             t <= self.cfg.watchdog_max_cycles,
             "watchdog: simulated time exceeded {} cycles (livelock?)",
             self.cfg.watchdog_max_cycles
         );
-        {
-            let ps = &mut self.pctx[p];
-            // Per-partition share of the event budget (any partition
-            // crossing the whole budget alone has certainly blown it;
-            // the exact global count is checked at executor
-            // synchronization points).
-            ps.applied += 1;
-            assert!(
-                ps.applied <= self.cfg.watchdog_max_events,
-                "watchdog: event budget exceeded"
-            );
-            ps.base = t;
-            ps.tile = ev.tile();
-        }
+        self.pctx.base = t;
+        self.pctx.tile = ev.tile();
         match ev {
             Ev::Start(tid) => self.await_request(tid, t)?,
             Ev::OpStart(tid) => {
@@ -1070,21 +917,21 @@ impl EngineCore<'_> {
                         "OpStart without incoming op for core {tid} at cycle {t}"
                     ));
                 };
-                self.start_op(p, tid, t, op);
+                self.start_op(tid, t, op);
             }
             Ev::OpComplete(tid) => {
                 if self.shared.trace.enabled() {
                     self.shared.trace.record(t, TraceEvent::OpComplete { tid });
                 }
-                self.complete_op(p, tid, t)?;
+                self.complete_op(tid, t)?;
             }
             Ev::Coh(dest, e) => {
                 let mut cx = Ctx {
                     shared: &mut self.shared,
-                    ps: &mut self.pctx[p],
+                    ps: &mut self.pctx,
                 };
                 self.engine.handle(t, CoreId(dest), e, &mut cx);
-                self.drain(p, t);
+                self.drain(t);
             }
             Ev::Expiry {
                 core,
@@ -1094,11 +941,11 @@ impl EngineCore<'_> {
                 if self.shared.tables[core.idx()].on_expiry_into(
                     line,
                     generation,
-                    &mut self.scratch[p].lines,
+                    &mut self.scratch.lines,
                 ) {
-                    self.shared.lc[core.idx()].involuntary += self.scratch[p].lines.len() as u64;
-                    for i in 0..self.scratch[p].lines.len() {
-                        let l = self.scratch[p].lines[i];
+                    self.shared.lc[core.idx()].involuntary += self.scratch.lines.len() as u64;
+                    for i in 0..self.scratch.lines.len() {
+                        let l = self.scratch.lines[i];
                         if self.shared.trace.enabled() {
                             self.shared
                                 .trace
@@ -1106,15 +953,15 @@ impl EngineCore<'_> {
                         }
                         let mut cx = Ctx {
                             shared: &mut self.shared,
-                            ps: &mut self.pctx[p],
+                            ps: &mut self.pctx,
                         };
                         self.engine.lease_released(t, core, l, &mut cx);
                     }
-                    self.drain(p, t);
+                    self.drain(t);
                 }
             }
             Ev::MemReq { tid, op } => {
-                self.pctx[p].alloc_msgs += 1;
+                self.pctx.alloc_msgs += 1;
                 let value = match op {
                     Op::Malloc { size, align } => self.mem.alloc(size, align).0,
                     Op::Free(a) => {
@@ -1153,8 +1000,7 @@ impl EngineCore<'_> {
         Ok(())
     }
 
-    /// End-of-run validation, shared by every executor: no thread may
-    /// still be blocked, no transaction in flight, invariants hold.
+    /// End-of-run validation: no thread may still be blocked, no transaction in flight, invariants hold.
     fn finish_checks(&mut self) -> Result<(), String> {
         let live = self.live;
         if live != 0 {
@@ -1167,47 +1013,38 @@ impl EngineCore<'_> {
         Ok(())
     }
 
-    /// Drain effects deferred by the `CohContext` during partition `p`'s
-    /// engine calls.
+    /// Drain effects deferred by the `CohContext` during engine calls.
     ///
-    /// The deferred-effect vectors ping-pong with the partition's
-    /// scratch via `mem::swap`, so at steady state this allocates
-    /// nothing: both sides keep their high-water capacity.
-    fn drain(&mut self, p: usize, t: Cycle) {
+    /// The deferred-effect vectors ping-pong with the scratch buffers via
+    /// `mem::swap`, so at steady state this allocates nothing: both sides
+    /// keep their high-water capacity.
+    fn drain(&mut self, t: Cycle) {
         loop {
-            if self.pctx[p].to_pin.is_empty() && self.pctx[p].deferred_release.is_empty() {
+            if self.pctx.to_pin.is_empty() && self.pctx.deferred_release.is_empty() {
                 break;
             }
-            {
-                let ps = &mut self.pctx[p];
-                let sc = &mut self.scratch[p];
-                std::mem::swap(&mut ps.to_pin, &mut sc.pins);
-                std::mem::swap(&mut ps.deferred_release, &mut sc.rels);
-            }
-            for i in 0..self.scratch[p].pins.len() {
-                let (c, l) = self.scratch[p].pins[i];
+            std::mem::swap(&mut self.pctx.to_pin, &mut self.scratch.pins);
+            std::mem::swap(&mut self.pctx.deferred_release, &mut self.scratch.rels);
+            for i in 0..self.scratch.pins.len() {
+                let (c, l) = self.scratch.pins[i];
                 self.engine.pin(c, l, true);
             }
-            for i in 0..self.scratch[p].rels.len() {
-                let (c, l) = self.scratch[p].rels[i];
+            for i in 0..self.scratch.rels.len() {
+                let (c, l) = self.scratch.rels[i];
                 let mut cx = Ctx {
                     shared: &mut self.shared,
-                    ps: &mut self.pctx[p],
+                    ps: &mut self.pctx,
                 };
                 self.engine.lease_released(t, c, l, &mut cx);
             }
-            self.scratch[p].pins.clear();
-            self.scratch[p].rels.clear();
+            self.scratch.pins.clear();
+            self.scratch.rels.clear();
         }
-        if !self.pctx[p].completions.is_empty() {
-            {
-                let ps = &mut self.pctx[p];
-                let sc = &mut self.scratch[p];
-                std::mem::swap(&mut ps.completions, &mut sc.completions);
-            }
-            let tile = self.pctx[p].tile;
-            for i in 0..self.scratch[p].completions.len() {
-                let (token, done) = self.scratch[p].completions[i];
+        if !self.pctx.completions.is_empty() {
+            std::mem::swap(&mut self.pctx.completions, &mut self.scratch.completions);
+            let tile = self.pctx.tile;
+            for i in 0..self.scratch.completions.len() {
+                let (token, done) = self.scratch.completions[i];
                 // Completions are delivered at the requesting core —
                 // which is the tile the grant/hit just executed at, so
                 // this is a same-tile push.
@@ -1219,7 +1056,7 @@ impl EngineCore<'_> {
                     Ev::OpComplete(token as usize),
                 );
             }
-            self.scratch[p].completions.clear();
+            self.scratch.completions.clear();
         }
     }
 
@@ -1265,7 +1102,7 @@ impl EngineCore<'_> {
     }
 
     /// Begin executing one instruction at its issue time `t`.
-    fn start_op(&mut self, p: usize, tid: usize, t: Cycle, op: Op) {
+    fn start_op(&mut self, tid: usize, t: Cycle, op: Op) {
         let core = CoreId(tid as u16);
         let token = tid as u64;
         match op {
@@ -1282,7 +1119,7 @@ impl EngineCore<'_> {
                 let hit = {
                     let mut cx = Ctx {
                         shared: &mut self.shared,
-                        ps: &mut self.pctx[p],
+                        ps: &mut self.pctx,
                     };
                     self.engine
                         .access(t, token, core, a.line(), kind, false, true, &mut cx)
@@ -1293,7 +1130,7 @@ impl EngineCore<'_> {
                         .push(tid, t, tid, done, Ev::OpComplete(tid));
                 }
                 self.pending[tid] = Some(Pending::Data { op, issued: t });
-                self.drain(p, t);
+                self.drain(t);
             }
             Op::Lease { addr, time } => {
                 let line = addr.line();
@@ -1306,7 +1143,7 @@ impl EngineCore<'_> {
                             self.shared.lc[tid].overflow += 1;
                             let mut cx = Ctx {
                                 shared: &mut self.shared,
-                                ps: &mut self.pctx[p],
+                                ps: &mut self.pctx,
                             };
                             self.engine.lease_released(t, core, d, &mut cx);
                         }
@@ -1314,7 +1151,7 @@ impl EngineCore<'_> {
                         let hit = {
                             let mut cx = Ctx {
                                 shared: &mut self.shared,
-                                ps: &mut self.pctx[p],
+                                ps: &mut self.pctx,
                             };
                             self.engine.access(
                                 t,
@@ -1335,14 +1172,14 @@ impl EngineCore<'_> {
                         self.pending[tid] = Some(Pending::LeaseAcq { issued: t });
                     }
                 }
-                self.drain(p, t);
+                self.drain(t);
             }
             Op::Release { addr } => {
                 let line = addr.line();
-                let flag = self.shared.tables[tid].release_into(line, &mut self.scratch[p].lines);
-                self.shared.lc[tid].voluntary += self.scratch[p].lines.len() as u64;
-                for i in 0..self.scratch[p].lines.len() {
-                    let l = self.scratch[p].lines[i];
+                let flag = self.shared.tables[tid].release_into(line, &mut self.scratch.lines);
+                self.shared.lc[tid].voluntary += self.scratch.lines.len() as u64;
+                for i in 0..self.scratch.lines.len() {
+                    let l = self.scratch.lines[i];
                     if self.shared.trace.enabled() {
                         self.shared.trace.record(
                             t,
@@ -1355,12 +1192,12 @@ impl EngineCore<'_> {
                     }
                     let mut cx = Ctx {
                         shared: &mut self.shared,
-                        ps: &mut self.pctx[p],
+                        ps: &mut self.pctx,
                     };
                     self.engine.lease_released(t, core, l, &mut cx);
                 }
                 self.imm(tid, t, 0, flag, 1);
-                self.drain(p, t);
+                self.drain(t);
             }
             Op::MultiLease { addrs, time } => {
                 let lines: Vec<LineAddr> = addrs.iter().map(|a| a.line()).collect();
@@ -1370,7 +1207,7 @@ impl EngineCore<'_> {
                         for l in released {
                             let mut cx = Ctx {
                                 shared: &mut self.shared,
-                                ps: &mut self.pctx[p],
+                                ps: &mut self.pctx,
                             };
                             self.engine.lease_released(t, core, l, &mut cx);
                         }
@@ -1384,7 +1221,7 @@ impl EngineCore<'_> {
                         for l in released {
                             let mut cx = Ctx {
                                 shared: &mut self.shared,
-                                ps: &mut self.pctx[p],
+                                ps: &mut self.pctx,
                             };
                             self.engine.lease_released(t, core, l, &mut cx);
                         }
@@ -1397,7 +1234,7 @@ impl EngineCore<'_> {
                             let hit = {
                                 let mut cx = Ctx {
                                     shared: &mut self.shared,
-                                    ps: &mut self.pctx[p],
+                                    ps: &mut self.pctx,
                                 };
                                 self.engine.access(
                                     t,
@@ -1423,13 +1260,13 @@ impl EngineCore<'_> {
                         }
                     }
                 }
-                self.drain(p, t);
+                self.drain(t);
             }
             Op::ReleaseAll => {
-                self.shared.tables[tid].release_all_into(&mut self.scratch[p].lines);
-                self.shared.lc[tid].voluntary += self.scratch[p].lines.len() as u64;
-                for i in 0..self.scratch[p].lines.len() {
-                    let l = self.scratch[p].lines[i];
+                self.shared.tables[tid].release_all_into(&mut self.scratch.lines);
+                self.shared.lc[tid].voluntary += self.scratch.lines.len() as u64;
+                for i in 0..self.scratch.lines.len() {
+                    let l = self.scratch.lines[i];
                     if self.shared.trace.enabled() {
                         self.shared.trace.record(
                             t,
@@ -1442,12 +1279,12 @@ impl EngineCore<'_> {
                     }
                     let mut cx = Ctx {
                         shared: &mut self.shared,
-                        ps: &mut self.pctx[p],
+                        ps: &mut self.pctx,
                     };
                     self.engine.lease_released(t, core, l, &mut cx);
                 }
                 self.imm(tid, t, 0, true, 1);
-                self.drain(p, t);
+                self.drain(t);
             }
             Op::Malloc { .. } | Op::Free(_) => {
                 // The heap allocator is global machine state: route the
@@ -1467,7 +1304,7 @@ impl EngineCore<'_> {
     /// Finish one instruction at its completion time: move data, account
     /// statistics, hand the reply to the source, and fetch the core's
     /// next instruction.
-    fn complete_op(&mut self, p: usize, tid: usize, t: Cycle) -> Result<(), String> {
+    fn complete_op(&mut self, tid: usize, t: Cycle) -> Result<(), String> {
         let pd = self.pending[tid].take().ok_or_else(|| {
             format!("OpComplete for core {tid} at cycle {t} without a pending op")
         })?;
@@ -1524,7 +1361,7 @@ impl EngineCore<'_> {
                     let hit = {
                         let mut cx = Ctx {
                             shared: &mut self.shared,
-                            ps: &mut self.pctx[p],
+                            ps: &mut self.pctx,
                         };
                         self.engine.access(
                             t,
@@ -1547,7 +1384,7 @@ impl EngineCore<'_> {
                         idx: idx + 1,
                         issued,
                     });
-                    self.drain(p, t);
+                    self.drain(t);
                     return Ok(());
                 }
                 (0, true, issued)
@@ -1571,28 +1408,6 @@ impl EngineCore<'_> {
         )?;
         self.await_request(tid, t)
     }
-}
-
-/// The relaxed windowed schedule on one host thread: open a safe window
-/// ([`ShardedQueue::begin_window`]), drain every partition's batch in
-/// partition order, repeat. This applies events in a *different order*
-/// than the sequential `pop_global` loop (per-partition batches instead
-/// of global time order) while producing byte-identical simulated
-/// results. Every run under relaxed commit with more than one
-/// partition uses it, live or engine-only.
-fn run_relaxed_serial(core: &mut EngineCore<'_>) -> Result<(), String> {
-    let budget = core.cfg.watchdog_max_events;
-    while let Some(bounds) = core.shared.queue.begin_window() {
-        if core.shared.queue.processed() > budget {
-            return Err("watchdog: event budget exceeded".to_string());
-        }
-        for (p, &bound) in bounds.iter().enumerate() {
-            while let Some((t, ev)) = core.shared.queue.pop_bounded(p, bound) {
-                core.apply(p, t, ev)?;
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Best-effort extraction of a panic payload's message.

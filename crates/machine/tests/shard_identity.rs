@@ -1,10 +1,10 @@
 //! Partitioned-engine determinism: the same workload run under 1, 2,
 //! and 4 engine partitions must produce byte-identical results — same
 //! stats JSON, same recorded trace bytes, same event count, same final
-//! memory. The partition count shapes the executor's schedule; it must
-//! never select the outcome.
+//! memory. The partition count shapes the event store; it must never
+//! select the outcome.
 
-use lr_machine::{program, CommitMode, Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sim_core::tracefmt;
 
 /// A contended lease/CAS counter plus FAA side traffic across 8 cores:
@@ -69,43 +69,40 @@ fn shard_counts_1_2_4_are_byte_identical() {
     }
 }
 
-/// The commit mode selects the *schedule* (one event at a time vs
-/// whole safe-window batches per partition), never the outcome: for
-/// every shard count, the relaxed executor's merged statistics, event
-/// count, and final memory are byte-identical to the sequential
-/// lockstep run.
+/// The event-budget watchdog counts every applied event over the whole
+/// machine, so it trips at exactly the same event at every partition
+/// count: a budget one short of a run's event count ends in the
+/// structured failure report, the exact count completes, and a tiny
+/// budget reports the same reason.
 #[test]
-fn commit_modes_are_byte_identical_across_shard_counts() {
-    let run = |shards: usize, commit: CommitMode| {
-        let mut m = Machine::new(SystemConfig::with_cores(8))
-            .with_engine_shards(shards)
-            .with_commit_mode(commit);
+fn event_budget_watchdog_is_exact_at_shards_1_and_4() {
+    let run = |shards: usize, budget: Option<u64>| {
+        let mut cfg = SystemConfig::with_cores(8);
+        if let Some(b) = budget {
+            cfg.watchdog_max_events = b;
+        }
+        let mut m = Machine::new(cfg).with_engine_shards(shards).with_trace(8);
         let a = m.setup(|mem| mem.alloc_line_aligned(8));
         let b = m.setup(|mem| mem.alloc_line_aligned(8));
-        let (stats, mem, info) = m.run_counted_info(programs(8, a, b));
-        (
-            stats.to_json(),
-            info.events,
-            mem.read_word(a),
-            mem.read_word(b),
-        )
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.run_counted_info(programs(8, a, b)).2.events
+        }))
+        .map_err(|p| {
+            p.downcast_ref::<String>()
+                .cloned()
+                .expect("structured report payload")
+        })
     };
-    let base = run(1, CommitMode::Lockstep);
-    for shards in [1usize, 2, 4] {
-        for commit in [CommitMode::Lockstep, CommitMode::Relaxed] {
-            let got = run(shards, commit);
-            assert_eq!(
-                got.0, base.0,
-                "stats JSON diverged at {shards} shards / {commit} commit"
-            );
-            assert_eq!(
-                got.1, base.1,
-                "event count diverged at {shards} shards / {commit} commit"
-            );
-            assert_eq!(
-                (got.2, got.3),
-                (base.2, base.3),
-                "final memory diverged at {shards} shards / {commit} commit"
+    let events = run(1, None).expect("unbounded run completes");
+    for shards in [1usize, 4] {
+        assert_eq!(run(shards, Some(events)), Ok(events), "{shards} shards");
+        for budget in [events - 1, 10] {
+            let report = run(shards, Some(budget)).expect_err("budget must trip");
+            assert!(
+                report.starts_with("==== simulation failure report ====\n")
+                    && report.contains("reason: watchdog: event budget exceeded\n")
+                    && report.contains("-- pending ops --"),
+                "{shards} shards, budget {budget}: {report}"
             );
         }
     }

@@ -23,8 +23,8 @@
 //! traces compact cross-version regression oracles.
 
 use lr_machine::{
-    CommitMode, Cycle, EventQueueKind, LineAddr, Machine, MachineStats, Op, OpSource, Reply,
-    Request, SystemConfig,
+    Cycle, EventQueueKind, LineAddr, Machine, MachineStats, Op, OpSource, Reply, Request,
+    SystemConfig,
 };
 use lr_sim_core::tracefmt::{self, MachineTrace, TraceError, TraceOp};
 use lr_sim_mem::SimMemory;
@@ -181,18 +181,15 @@ impl OpSource for ReplaySource<'_> {
     }
 }
 
-/// Execution-engine variant to replay under: the event-queue store,
-/// the engine-partition (shard) count, and the commit mode (lockstep
-/// global order vs relaxed safe-window batches), `None` = the process
-/// defaults. Every variant is required to reproduce a recording
-/// byte-for-byte — each axis is an independent A/B oracle over the same
-/// trace (the fuzz farm's heap-vs-wheel, shards-1/2/4, and
-/// lockstep-vs-relaxed axes).
+/// Execution-engine variant to replay under: the event-queue store and
+/// the engine-partition (shard) count, `None` = the process defaults.
+/// Every variant is required to reproduce a recording byte-for-byte —
+/// each axis is an independent A/B oracle over the same trace (the fuzz
+/// farm's heap-vs-wheel and shards-1/2/4 axes).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineVariant {
     pub queue: Option<EventQueueKind>,
     pub shards: Option<usize>,
-    pub commit: Option<CommitMode>,
 }
 
 impl EngineVariant {
@@ -209,12 +206,6 @@ impl EngineVariant {
         self.shards = Some(shards);
         self
     }
-
-    /// Pin the executor commit mode.
-    pub fn with_commit(mut self, commit: CommitMode) -> Self {
-        self.commit = Some(commit);
-        self
-    }
 }
 
 impl std::fmt::Display for EngineVariant {
@@ -223,13 +214,10 @@ impl std::fmt::Display for EngineVariant {
             Some(k) => write!(f, "{k:?}")?,
             None => write!(f, "default")?,
         }
-        if let Some(s) = self.shards {
-            write!(f, "/shards-{s}")?;
+        match self.shards {
+            Some(s) => write!(f, "/shards-{s}"),
+            None => Ok(()),
         }
-        if let Some(c) = self.commit {
-            write!(f, "/{c}")?;
-        }
-        Ok(())
     }
 }
 
@@ -287,9 +275,6 @@ fn replay_inner(trace: &MachineTrace, cfg: SystemConfig, variant: EngineVariant)
     }
     if let Some(shards) = variant.shards {
         machine = machine.with_engine_shards(shards);
-    }
-    if let Some(commit) = variant.commit {
-        machine = machine.with_commit_mode(commit);
     }
     machine.setup(|m| *m = SimMemory::restore(&trace.mem));
     let mut source = ReplaySource::new(trace);
@@ -507,24 +492,18 @@ mod tests {
         machine.run_recorded(progs).trace
     }
 
-    /// The shard and commit axes of the replay oracle: one recording
-    /// must verify byte-for-byte under every (queue store × partition
-    /// count × commit mode) engine variant. Replay is engine-only
-    /// (Source mode), so lockstep exercises the sharded queue's
-    /// sequential merge path and relaxed exercises the safe-window
-    /// batch executor.
+    /// The shard axis of the replay oracle: one recording must verify
+    /// byte-for-byte under every (queue store × partition count) engine
+    /// variant, which exercises the sharded queue's outbox delivery and
+    /// `(time, key)` merge.
     #[test]
     fn replay_is_byte_identical_for_every_engine_variant() {
         let trace = record_contended(4, 30);
         for shards in [1usize, 2, 4] {
             for queue in [EventQueueKind::Heap, EventQueueKind::Wheel] {
-                for commit in [CommitMode::Lockstep, CommitMode::Relaxed] {
-                    let v = EngineVariant::queue(queue)
-                        .with_shards(shards)
-                        .with_commit(commit);
-                    verify_with_variant(&trace, v)
-                        .unwrap_or_else(|d| panic!("variant {v} diverged: {d}"));
-                }
+                let v = EngineVariant::queue(queue).with_shards(shards);
+                verify_with_variant(&trace, v)
+                    .unwrap_or_else(|d| panic!("variant {v} diverged: {d}"));
             }
         }
     }

@@ -10,47 +10,25 @@
 //! # Determinism: canonical keys
 //!
 //! Every push is stamped with a **canonical key**
-//! `(src_tile << 48) | per-src-tile push counter`. Unlike the global
-//! commit-order sequence counter this queue used before the relaxed
-//! executor existed, the canonical key is a pure function of simulated
-//! causality: tile `s`'s pushes happen during `s`'s own events, in
-//! `s`'s deterministic event order, in fixed code order within each
-//! event — so the k-th push by tile `s` is *the same push* no matter
-//! which executor (sequential, lockstep-threaded, or relaxed-windowed)
-//! ran the simulation or how many partitions it used. Merging heads by
-//! `(time, key)` therefore yields one total order that every executor
-//! reproduces byte-for-byte. (A commit-order counter cannot provide
-//! this: under parallel commit the interleaving — and hence the counter
-//! values — would differ run to run.)
+//! `(src_tile << 48) | per-src-tile push counter`. The key is a pure
+//! function of simulated causality: tile `s`'s pushes happen during
+//! `s`'s own events, in `s`'s deterministic event order, in fixed code
+//! order within each event — so the k-th push by tile `s` is *the same
+//! push* no matter how many partitions the queue uses. Merging heads by
+//! `(time, key)` in [`ShardedQueue::pop_global`] therefore yields one
+//! total order that every partition count reproduces byte-for-byte.
 //!
-//! # Lookahead, safe windows, and relaxed commit
+//! # Lookahead
 //!
 //! Cross-partition events model NoC messages, so their delivery time is
 //! at least `lookahead` — the minimum cross-tile message latency
 //! ([`Mesh::min_cross_latency`] in `lr-sim-noc`) — after the send
-//! instant. That yields the classic conservative-PDES guarantee used by
-//! the safe-window batch API: after [`ShardedQueue::begin_window`]
-//! computes, per partition `p`, the exclusive bound
-//! `min(min over q ≠ p of head(q) + lookahead, head(p) + 2·lookahead)`,
-//! every event of `p` strictly below that bound — including events `p`
-//! schedules for itself *during* the window — can be committed without
-//! observing any other partition. Why: any event that can still arrive
-//! at `p` traces back, through one or more cross-partition hops (each
-//! adding at least `lookahead`), to an event queued somewhere right
-//! now. A chain starting at another partition `q` reaches `p` no
-//! earlier than `head(q) + lookahead`; a chain starting at `p` itself
-//! must leave and return — two hops — so no earlier than
-//! `head(p) + 2·lookahead`. (Bounding only by the *other* partitions'
-//! heads is unsound: a partition that runs far ahead while seeding a
-//! neighbour with an early event can receive the echo below its own
-//! high-water mark two windows later.) The relaxed
-//! executor in `lr-machine` commits each partition's window batch on
-//! its own host thread with no turn mutex, synchronizing only at
-//! window boundaries where outboxes are drained and the next bounds
-//! computed. The lockstep executor keeps popping the exact global
-//! `(time, key)` order through [`ShardedQueue::pop_global`] — both
-//! produce identical per-tile event sequences, hence identical
-//! simulated results.
+//! instant (debug-asserted on every cross-partition push). The queue
+//! counts the events that pass the conservative safe-time test against
+//! the other partitions' heads ([`ShardedQueue::concurrent_events`]) and
+//! the lookahead windows the global clock crosses
+//! ([`ShardedQueue::epochs`]): the concurrency headroom a partitioned
+//! executor would have, measured on the sequential commit order.
 
 use crate::event::{EventQueue, EventQueueKind};
 use crate::Cycle;
@@ -108,44 +86,28 @@ struct Envelope<E> {
     payload: E,
 }
 
-/// N per-partition [`EventQueue`]s + deterministic merge + safe-window
-/// batch API (module docs).
+/// N per-partition [`EventQueue`]s + deterministic `(time, key)` merge
+/// (module docs).
 #[derive(Debug)]
 pub struct ShardedQueue<E> {
     parts: Vec<EventQueue<E>>,
     /// Cross-partition sends staged per *source* partition
-    /// (`outboxes[src][dest]`): each source partition appends only to
-    /// its own row, so relaxed window execution writes disjoint slots.
+    /// (`outboxes[src][dest]`), delivered at the next `pop_global`.
     outboxes: Vec<Vec<Vec<Envelope<E>>>>,
     map: PartitionMap,
     /// Minimum cross-partition delivery delay (NoC lookahead).
     lookahead: Cycle,
-    /// Optional distance-aware refinement: `pair_la[p][q]` is the
-    /// minimum delivery delay of any event sent from a tile of
-    /// partition `p` to a tile of partition `q` (mesh-distant and
-    /// cross-socket pairs admit wider safe windows than the global
-    /// minimum). Symmetric, and never below `lookahead`. `None` falls
-    /// back to the uniform scalar everywhere.
-    pair_la: Option<Vec<Vec<Cycle>>>,
     /// Per-src-tile push counters — the low 48 key bits.
     tile_ctr: Vec<u64>,
     now: Cycle,
-    /// Cross-partition pushes, counted per source partition (so relaxed
-    /// windows touch disjoint counters); summed on read.
-    cross: Vec<u64>,
+    /// Cross-partition pushes (outbox traffic).
+    cross: u64,
     /// Events that satisfied the conservative safe-time test at
     /// `pop_global`: `t < min(other partitions' heads) + lookahead`.
     concurrent_events: u64,
-    /// Lookahead windows crossed (safe-time epoch counter,
-    /// `pop_global` path).
+    /// Lookahead windows crossed (safe-time epoch counter).
     epochs: u64,
     epoch_horizon: Cycle,
-    /// Relaxed-commit observability: non-empty per-partition window
-    /// batches committed, and the largest single batch. Maintained at
-    /// window boundaries from per-partition processed() deltas.
-    commit_batches: u64,
-    max_batch: u64,
-    last_processed: Vec<u64>,
 }
 
 impl<E> ShardedQueue<E> {
@@ -162,16 +124,12 @@ impl<E> ShardedQueue<E> {
                 .collect(),
             map,
             lookahead,
-            pair_la: None,
             tile_ctr: vec![0; tiles],
             now: 0,
-            cross: vec![0; n],
+            cross: 0,
             concurrent_events: 0,
             epochs: 0,
             epoch_horizon: 0,
-            commit_batches: 0,
-            max_batch: 0,
-            last_processed: vec![0; n],
         }
     }
 
@@ -185,8 +143,7 @@ impl<E> ShardedQueue<E> {
         self.map
     }
 
-    /// Global simulated time: the last `pop_global` timestamp, or the
-    /// latest window base under relaxed commit.
+    /// Global simulated time: the last `pop_global` timestamp.
     #[inline]
     pub fn now(&self) -> Cycle {
         self.now
@@ -216,7 +173,7 @@ impl<E> ShardedQueue<E> {
     /// Cross-partition pushes so far (outbox traffic).
     #[inline]
     pub fn cross_events(&self) -> u64 {
-        self.cross.iter().sum()
+        self.cross
     }
 
     /// Events that passed the conservative safe-time test (see field).
@@ -231,65 +188,10 @@ impl<E> ShardedQueue<E> {
         self.epochs
     }
 
-    /// Non-empty per-partition window batches committed so far
-    /// (relaxed executor; 0 under pure `pop_global` driving).
-    #[inline]
-    pub fn commit_batches(&self) -> u64 {
-        self.commit_batches
-    }
-
-    /// Largest single per-partition window batch committed so far.
-    #[inline]
-    pub fn max_batch(&self) -> u64 {
-        self.max_batch
-    }
-
     /// The cross-partition lookahead this queue enforces.
     #[inline]
     pub fn lookahead(&self) -> Cycle {
         self.lookahead
-    }
-
-    /// Install a per-partition-pair lookahead matrix (see the `pair_la`
-    /// field). Entries must be symmetric and at least the scalar
-    /// `lookahead` — the matrix *refines* the global bound, it never
-    /// relaxes it. Symmetry matters for soundness: the echo bound below
-    /// collapses any multi-hop return chain `p → a → … → b → p` to
-    /// `min over q of la[p][q] + la[q][p]` via the triangle inequality
-    /// of the underlying NoC metric, which requires `la[p][q] ==
-    /// la[q][p]`.
-    pub fn set_pair_lookahead(&mut self, la: Vec<Vec<Cycle>>) {
-        let n = self.parts.len();
-        assert_eq!(la.len(), n, "pair-lookahead matrix must be {n}x{n}");
-        for (p, row) in la.iter().enumerate() {
-            assert_eq!(row.len(), n, "pair-lookahead matrix must be {n}x{n}");
-            for (q, &v) in row.iter().enumerate() {
-                if p != q {
-                    assert!(
-                        v >= self.lookahead,
-                        "pair lookahead [{p}][{q}]={v} below scalar {}",
-                        self.lookahead
-                    );
-                    assert_eq!(v, la[q][p], "pair lookahead must be symmetric");
-                }
-            }
-        }
-        self.pair_la = Some(la);
-    }
-
-    /// The installed pair matrix, if any.
-    pub fn pair_lookahead(&self) -> Option<&[Vec<Cycle>]> {
-        self.pair_la.as_deref()
-    }
-
-    /// Minimum delivery delay for a `src` partition → `dest` partition
-    /// event (`src != dest`).
-    #[inline]
-    fn la_between(&self, src: usize, dest: usize) -> Cycle {
-        match &self.pair_la {
-            Some(m) => m[src][dest],
-            None => self.lookahead,
-        }
     }
 
     /// Schedule `payload` at `time` for the partition owning
@@ -300,13 +202,10 @@ impl<E> ShardedQueue<E> {
     /// The push is stamped with the canonical key derived from
     /// `src_tile` (module docs). Same-partition pushes go straight into
     /// the owner's queue; cross-partition pushes are staged in the
-    /// source partition's outbox — so concurrent window execution
-    /// touches only source-partition-owned state — and delivered at the
-    /// next merge point ([`ShardedQueue::pop_global`] or
-    /// [`ShardedQueue::begin_window`]). Cross-partition sends must
-    /// honour the lookahead (debug-asserted — in the machine every such
-    /// push rides a NoC message whose latency is at least the
-    /// lookahead).
+    /// source partition's outbox and delivered at the next
+    /// [`ShardedQueue::pop_global`]. Cross-partition sends must honour
+    /// the lookahead (debug-asserted — in the machine every such push
+    /// rides a NoC message whose latency is at least the lookahead).
     pub fn push(
         &mut self,
         src_tile: usize,
@@ -332,14 +231,14 @@ impl<E> ShardedQueue<E> {
             self.parts[dest].push_at_seq(time, key, payload);
         } else {
             debug_assert!(
-                time >= send_now + self.la_between(src, dest),
+                time >= send_now + self.lookahead,
                 "cross-partition event violates lookahead: t={} < send={} + lookahead={} \
                  (partition {src} -> {dest})",
                 time,
                 send_now,
-                self.la_between(src, dest),
+                self.lookahead,
             );
-            self.cross[src] += 1;
+            self.cross += 1;
             self.outboxes[src][dest].push(Envelope { time, key, payload });
         }
     }
@@ -363,15 +262,6 @@ impl<E> ShardedQueue<E> {
         }
     }
 
-    /// The partition owning the globally earliest pending event, after
-    /// delivering pending outbox traffic. `None` iff the queue is
-    /// drained. Used by the lockstep threaded executor to decide whose
-    /// turn it is without consuming the event.
-    pub fn head_partition(&mut self) -> Option<usize> {
-        self.deliver_all();
-        self.min_head().map(|(_, _, p)| p)
-    }
-
     /// Minimum partition head by `(time, key)` (outboxes must already
     /// be drained).
     fn min_head(&self) -> Option<(Cycle, u64, usize)> {
@@ -388,9 +278,7 @@ impl<E> ShardedQueue<E> {
 
     /// Pop the globally earliest event: deliver outbox traffic, merge
     /// partition heads by `(time, key)`, pop from the winning
-    /// partition. Returns `(time, partition, payload)`. This is the
-    /// sequential/lockstep driving mode; [`ShardedQueue::begin_window`]
-    /// + [`ShardedQueue::pop_bounded`] is the relaxed one.
+    /// partition. Returns `(time, partition, payload)`.
     pub fn pop_global(&mut self) -> Option<(Cycle, usize, E)> {
         self.deliver_all();
         let (_, _, p) = self.min_head()?;
@@ -431,94 +319,6 @@ impl<E> ShardedQueue<E> {
             });
         }
         Some((time, p, payload))
-    }
-
-    /// Open the next safe window: deliver all staged cross-partition
-    /// traffic, account the batches of the window just closed, and
-    /// return per-partition **exclusive** bounds — partition `p` may
-    /// commit every event strictly below `bounds[p]` without observing
-    /// any other partition (module docs prove why, including events `p`
-    /// pushes to itself mid-window and multi-window echo chains).
-    /// Returns `None` when fully drained.
-    ///
-    /// Progress: the partition holding the globally earliest event `t`
-    /// always has `bounds[p] ≥ t + lookahead.max(1) > t`.
-    pub fn begin_window(&mut self) -> Option<Vec<Cycle>> {
-        self.deliver_all();
-        // Account the window that just finished executing.
-        for (p, q) in self.parts.iter().enumerate() {
-            let batch = q.processed() - self.last_processed[p];
-            if batch > 0 {
-                self.commit_batches += 1;
-                self.max_batch = self.max_batch.max(batch);
-                self.last_processed[p] = q.processed();
-            }
-        }
-        let heads: Vec<Option<Cycle>> = self.parts.iter().map(EventQueue::peek_time).collect();
-        if heads.iter().all(Option::is_none) {
-            return None;
-        }
-        // Each opened window is one epoch of the conservative clock
-        // (the lockstep driver counts epochs by lookahead horizon in
-        // `pop_global` instead).
-        self.epochs += 1;
-        let la = self.lookahead.max(1);
-        let add = |t: Cycle, d: Cycle| {
-            t.checked_add(d).unwrap_or_else(|| {
-                panic!(
-                    "protocol invariant violated: window bound {t} + lookahead {d} \
-                     overflows the simulated clock"
-                )
-            })
-        };
-        let n = self.parts.len();
-        let bounds = (0..n)
-            .map(|p| {
-                // Every event that can still reach `p` traces back
-                // (through zero or more same-partition steps and one or
-                // more cross-partition hops, a `q → r` hop adding at
-                // least `la_between(q, r)`) to an event queued *right
-                // now*. A chain originating at another partition `q`
-                // needs one hop costing at least `la_between(q, p)` —
-                // multi-hop detours through some partition `r` cost
-                // `la(q,r) + la(r,p) ≥ la(q,p)` because the matrix
-                // entries are minima of a shortest-path NoC metric
-                // (triangle inequality). A chain originating at `p`
-                // itself must leave and come back — the cheapest
-                // round-trip over any intermediate. `p`'s purely local
-                // future is ordered by its own queue and needs no
-                // bound.
-                let one_hop = (0..n)
-                    .filter(|&q| q != p)
-                    .filter_map(|q| Some(add(heads[q]?, self.la_between(q, p).max(1))))
-                    .min();
-                let echo = (0..n)
-                    .filter(|&q| q != p)
-                    .map(|q| self.la_between(p, q).max(1) + self.la_between(q, p).max(1))
-                    .min()
-                    .unwrap_or(2 * la);
-                let two_hop = heads[p].map(|h| add(h, echo));
-                one_hop
-                    .into_iter()
-                    .chain(two_hop)
-                    .min()
-                    .unwrap_or(Cycle::MAX)
-            })
-            .collect();
-        self.now = heads.iter().flatten().copied().min().unwrap_or(self.now);
-        Some(bounds)
-    }
-
-    /// Pop partition `p`'s next event if its timestamp is strictly
-    /// below `bound` (the partition's current window bound). Safe to
-    /// call concurrently for *distinct* partitions through the relaxed
-    /// executor's shared-core cell: it touches only `parts[p]`.
-    pub fn pop_bounded(&mut self, p: usize, bound: Cycle) -> Option<(Cycle, E)> {
-        let (t, _) = self.parts[p].peek_key()?;
-        if t >= bound {
-            return None;
-        }
-        self.parts[p].pop_keyed().map(|(t, _, e)| (t, e))
     }
 }
 
@@ -575,8 +375,8 @@ mod tests {
     fn canonical_key_orders_same_time_pushes_by_src_tile_not_push_order() {
         // Tile 2 pushes first, tile 1 second, both for tile 0 at t=5:
         // the merged order must be tile 1's event first, regardless of
-        // push (commit) order — this is what makes the order invariant
-        // under relaxed parallel commit.
+        // push order — this is what makes the order invariant under
+        // every partition count.
         for kind in [EventQueueKind::Heap, EventQueueKind::Wheel] {
             let mut q: ShardedQueue<&str> = ShardedQueue::with_kind(kind, 4, 1, 1);
             q.push(2, 0, 0, 5, "from-tile-2");
@@ -636,169 +436,5 @@ mod tests {
         q.pop_global(); // t=50: no other head → not counted
         assert_eq!(q.concurrent_events(), 1);
         assert!(q.epochs() >= 1);
-    }
-
-    #[test]
-    fn windowed_draining_matches_pop_global_per_partition() {
-        // Drive two identically-filled queues, one via pop_global, one
-        // via the window API; per-partition pop sequences must agree.
-        let build = || {
-            let mut q: ShardedQueue<u64> = ShardedQueue::with_kind(EventQueueKind::Wheel, 4, 2, 2);
-            let mut x = 0x9E3779B97F4A7C15u64;
-            for i in 0..200u64 {
-                x = x.rotate_left(7).wrapping_mul(0xBF58476D1CE4E5B9);
-                let tile = (x % 4) as usize;
-                let t = (x >> 8) % 64;
-                q.push(tile, 0, tile, t, i);
-            }
-            q
-        };
-        let mut seq_order: Vec<Vec<(Cycle, u64)>> = vec![Vec::new(); 2];
-        let mut a = build();
-        while let Some((t, p, v)) = a.pop_global() {
-            seq_order[p].push((t, v));
-        }
-        let mut win_order: Vec<Vec<(Cycle, u64)>> = vec![Vec::new(); 2];
-        let mut b = build();
-        while let Some(bounds) = b.begin_window() {
-            for p in 0..2 {
-                while let Some((t, v)) = b.pop_bounded(p, bounds[p]) {
-                    win_order[p].push((t, v));
-                }
-            }
-        }
-        assert_eq!(seq_order, win_order);
-        assert_eq!(a.processed(), b.processed());
-        assert!(b.commit_batches() > 0);
-        assert!(b.max_batch() > 0);
-        assert_eq!(a.commit_batches(), 0);
-    }
-
-    #[test]
-    fn window_bounds_guarantee_progress_and_batch_accounting() {
-        let mut q: ShardedQueue<u32> = ShardedQueue::with_kind(EventQueueKind::Wheel, 2, 2, 5);
-        q.push(0, 0, 0, 10, 0);
-        q.push(1, 0, 1, 10, 1);
-        let bounds = q.begin_window().unwrap();
-        // Both heads at 10: each bound is the *other* head + lookahead.
-        assert_eq!(bounds, vec![15, 15]);
-        assert_eq!(q.pop_bounded(0, bounds[0]), Some((10, 0)));
-        assert_eq!(q.pop_bounded(0, bounds[0]), None);
-        assert_eq!(q.pop_bounded(1, bounds[1]), Some((10, 1)));
-        // Next window: previous batches accounted, queue drained.
-        assert!(q.begin_window().is_none());
-        assert_eq!(q.commit_batches(), 2);
-        assert_eq!(q.max_batch(), 1);
-    }
-
-    #[test]
-    fn uniform_pair_matrix_reproduces_scalar_bounds() {
-        let mut q: ShardedQueue<u32> = ShardedQueue::with_kind(EventQueueKind::Wheel, 2, 2, 5);
-        q.set_pair_lookahead(vec![vec![0, 5], vec![5, 0]]);
-        q.push(0, 0, 0, 10, 0);
-        q.push(1, 0, 1, 10, 1);
-        let bounds = q.begin_window().unwrap();
-        // Identical to the scalar case above: the matrix refines, and a
-        // uniform matrix refines to exactly the old behaviour.
-        assert_eq!(bounds, vec![15, 15]);
-    }
-
-    #[test]
-    fn distance_aware_matrix_widens_bounds() {
-        // Two "far" partitions (e.g. different sockets): pair delay 40
-        // vs global scalar 2 — each side's safe window grows 40/2 = 20x.
-        let mut q: ShardedQueue<u32> = ShardedQueue::with_kind(EventQueueKind::Wheel, 4, 2, 2);
-        q.set_pair_lookahead(vec![vec![0, 40], vec![40, 0]]);
-        q.push(0, 0, 0, 10, 0);
-        q.push(2, 0, 2, 10, 1);
-        let bounds = q.begin_window().unwrap();
-        assert_eq!(bounds, vec![50, 50]);
-        q.pop_bounded(0, bounds[0]);
-        q.pop_bounded(1, bounds[1]);
-        // Echo bound: with only p0 populated, p0's own events are safe
-        // up to head + cheapest round-trip (40 out + 40 back), while p1
-        // is bounded by p0's head one hop away.
-        q.push(0, 50, 0, 60, 2);
-        let bounds = q.begin_window().unwrap();
-        assert_eq!(bounds, vec![60 + 80, 60 + 40]);
-    }
-
-    #[test]
-    fn windowed_draining_matches_pop_global_with_pair_matrix() {
-        // Non-uniform symmetric matrix (entries ≥ scalar 2, triangle
-        // inequality holds); handlers push cross-partition follow-ups
-        // honouring the per-pair delay. Window-driven execution must
-        // produce the same per-partition pop sequences as pop_global.
-        let la = [
-            vec![0, 2, 7, 9],
-            vec![2, 0, 5, 7],
-            vec![7, 5, 0, 2],
-            vec![9, 7, 2, 0],
-        ];
-        let build = || {
-            let mut q: ShardedQueue<u64> = ShardedQueue::with_kind(EventQueueKind::Wheel, 4, 4, 2);
-            q.set_pair_lookahead(la.to_vec());
-            for tile in 0..4usize {
-                q.push(tile, 0, tile, tile as Cycle, tile as u64);
-            }
-            q
-        };
-        let follow = |q: &mut ShardedQueue<u64>, t: Cycle, p: usize, v: u64| {
-            if v < 60 {
-                let dest = ((v * 7 + 3) % 4) as usize;
-                let delay = la[p][dest].max(1) + v % 3;
-                q.push(p, t, dest, t + delay, v + 4);
-            }
-        };
-        let mut seq_order: Vec<Vec<(Cycle, u64)>> = vec![Vec::new(); 4];
-        let mut a = build();
-        while let Some((t, p, v)) = a.pop_global() {
-            seq_order[p].push((t, v));
-            follow(&mut a, t, p, v);
-        }
-        let mut win_order: Vec<Vec<(Cycle, u64)>> = vec![Vec::new(); 4];
-        let mut b = build();
-        while let Some(bounds) = b.begin_window() {
-            for p in 0..4 {
-                while let Some((t, v)) = b.pop_bounded(p, bounds[p]) {
-                    win_order[p].push((t, v));
-                    follow(&mut b, t, p, v);
-                }
-            }
-        }
-        assert_eq!(seq_order, win_order);
-        assert_eq!(a.processed(), b.processed());
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "violates lookahead")]
-    fn pair_lookahead_violation_is_caught_in_debug() {
-        // 5 cycles satisfies the scalar lookahead (2) but not the pair
-        // entry (9): the per-pair debug assert must fire.
-        let mut q: ShardedQueue<u32> = ShardedQueue::with_kind(EventQueueKind::Wheel, 4, 4, 2);
-        q.set_pair_lookahead(vec![
-            vec![0, 2, 7, 9],
-            vec![2, 0, 5, 7],
-            vec![7, 5, 0, 2],
-            vec![9, 7, 2, 0],
-        ]);
-        q.push(0, 0, 0, 0, 0);
-        q.pop_global();
-        q.push(0, 0, 3, 5, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "symmetric")]
-    fn asymmetric_pair_matrix_is_rejected() {
-        let mut q: ShardedQueue<u32> = ShardedQueue::with_kind(EventQueueKind::Wheel, 2, 2, 1);
-        q.set_pair_lookahead(vec![vec![0, 3], vec![4, 0]]);
-    }
-
-    #[test]
-    #[should_panic(expected = "below scalar")]
-    fn pair_matrix_below_scalar_is_rejected() {
-        let mut q: ShardedQueue<u32> = ShardedQueue::with_kind(EventQueueKind::Wheel, 2, 2, 5);
-        q.set_pair_lookahead(vec![vec![0, 3], vec![3, 0]]);
     }
 }

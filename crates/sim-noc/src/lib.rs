@@ -190,33 +190,6 @@ impl Mesh {
         }
     }
 
-    /// Minimum latency of any message from a tile in `[a0, a1)` to a tile
-    /// in `[b0, b1)`, excluding same-tile pairs (which never cross a
-    /// partition boundary). Used by the sharded engine to widen the
-    /// per-partition-pair lookahead beyond the global
-    /// [`min_cross_latency`](Self::min_cross_latency) for mesh-distant
-    /// and cross-socket partition pairs.
-    pub fn min_latency_between(&self, a: (usize, usize), b: (usize, usize)) -> Cycle {
-        let ser = (self
-            .flits(MsgClass::Control)
-            .min(self.flits(MsgClass::Data)) as Cycle)
-            - 1;
-        let mut best: Option<Cycle> = None;
-        for ta in a.0..a.1 {
-            for tb in b.0..b.1 {
-                if ta == tb {
-                    continue;
-                }
-                let (ta, tb) = (CoreId(ta as u16), CoreId(tb as u16));
-                let l = self.hops(ta, tb) * self.hop_latency
-                    + self.socket_crossings(ta, tb) * self.socket_link_latency
-                    + ser;
-                best = Some(best.map_or(l, |x: Cycle| x.min(l)));
-            }
-        }
-        best.unwrap_or(Cycle::MAX)
-    }
-
     /// Worst-case message latency across the machine (used for the
     /// Proposition 2 delay-bound checks in tests).
     pub fn max_latency(&self, class: MsgClass) -> Cycle {
@@ -469,24 +442,6 @@ mod tests {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn min_latency_between_tile_blocks() {
-        let m = numa(8, 2);
-        // Adjacent blocks within one socket: one hop (2) + 0 ser.
-        assert_eq!(m.min_latency_between((0, 2), (2, 4)), 2);
-        // Blocks in different sockets: link traversal dominates.
-        assert_eq!(m.min_latency_between((0, 4), (4, 8)), 40);
-        // Overlapping blocks still exclude same-tile pairs.
-        assert!(m.min_latency_between((0, 4), (0, 4)) >= m.min_cross_latency());
-        // The global bound is never above any pair bound.
-        let flat = mesh(64);
-        for p in [(0usize, 16usize), (16, 32), (32, 48), (48, 64)] {
-            for q in [(0usize, 16usize), (16, 32), (32, 48), (48, 64)] {
-                assert!(flat.min_latency_between(p, q) >= flat.min_cross_latency());
             }
         }
     }
