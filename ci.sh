@@ -20,42 +20,6 @@ cargo test -q --offline --workspace --features lease-release/strict-invariants
 echo "== driver smoke: every scenario, 2 parallel jobs =="
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --smoke --jobs 2 > /dev/null
 
-echo "== event-queue A/B: heap vs wheel must be byte-identical =="
-# Every deterministic (sim) scenario, run once per event-queue store:
-# the emitted rows and every BENCH_*.json must not differ by one byte.
-# Wall-clock scenarios (--kind host/wall) are exempt by nature.
-AB_DIR=$(mktemp -d)
-mkdir -p "$AB_DIR/json_heap" "$AB_DIR/json_wheel"
-# The "JSON -> <path>" banner echoes the per-variant output directory;
-# everything else must match exactly.
-LR_EVENTQ=heap LR_JSON_DIR="$AB_DIR/json_heap" \
-    cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
-    --smoke --jobs 2 --kind sim | grep -v "^JSON -> " > "$AB_DIR/rows_heap.txt"
-LR_EVENTQ=wheel LR_JSON_DIR="$AB_DIR/json_wheel" \
-    cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
-    --smoke --jobs 2 --kind sim | grep -v "^JSON -> " > "$AB_DIR/rows_wheel.txt"
-diff -u "$AB_DIR/rows_heap.txt" "$AB_DIR/rows_wheel.txt"
-diff -ru "$AB_DIR/json_heap" "$AB_DIR/json_wheel"
-rm -rf "$AB_DIR"
-
-echo "== engine-shards A/B: 1 vs 4 partitions must be byte-identical =="
-# The partitioned event-store axis: every deterministic (sim) scenario,
-# run once single-partition and once with 4 engine partitions (outbox
-# delivery + (time, key) merge). Rows and every BENCH_*.json must not
-# differ by one byte — partitioning must be invisible in simulated
-# results.
-SH_DIR=$(mktemp -d)
-mkdir -p "$SH_DIR/json_s1" "$SH_DIR/json_s4"
-LR_ENGINE_SHARDS=1 LR_JSON_DIR="$SH_DIR/json_s1" \
-    cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
-    --smoke --jobs 2 --kind sim | grep -v "^JSON -> " > "$SH_DIR/rows_s1.txt"
-LR_ENGINE_SHARDS=4 LR_JSON_DIR="$SH_DIR/json_s4" \
-    cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
-    --smoke --jobs 2 --kind sim | grep -v "^JSON -> " > "$SH_DIR/rows_s4.txt"
-diff -u "$SH_DIR/rows_s1.txt" "$SH_DIR/rows_s4.txt"
-diff -ru "$SH_DIR/json_s1" "$SH_DIR/json_s4"
-rm -rf "$SH_DIR"
-
 echo "== engine throughput smoke (gates on completion, not numbers) =="
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario engine_throughput --smoke > /dev/null
 
@@ -65,8 +29,8 @@ echo "== lock showdown smoke (asserts zero allocator msgs + combiner ledger) =="
 # in-cell, that steady state sends zero simulated allocator messages
 # (node pools are pre-allocated), that every delegated op is combined
 # exactly once, and that the stack's push/pop/empty ledger balances.
-# As a ScenarioKind::Sim entry it also rides every --kind sim A/B gate
-# above (event-queue, engine-shards) and the record/replay gate below.
+# As a ScenarioKind::Sim entry it also rides the record/replay gate
+# below.
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario lock_showdown --smoke > /dev/null
 
 echo "== NUMA serving smoke (asserts op ledger + cross-socket traffic shape) =="
@@ -77,13 +41,12 @@ echo "== NUMA serving smoke (asserts op ledger + cross-socket traffic shape) =="
 # count, that single-socket cells send zero cross-socket messages (the
 # sockets=1 degeneracy), and that multi-socket cells with workers on
 # more than one socket actually cross the link. As a ScenarioKind::Sim
-# entry it also rides every --kind sim A/B gate above (event-queue,
-# engine-shards) and the record/replay gate below.
+# entry it also rides the record/replay gate below.
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario numa_serving --smoke > /dev/null
-# The kilo-core cell: 1024 simulated cores across 4 sockets, on a
-# 4-partition event store — the scale the NUMA tier exists for. The
-# same in-cell ledger and cross-socket asserts gate it.
-LR_ENGINE_SHARDS=4 LR_NO_JSON=1 \
+# The kilo-core cell: 1024 simulated cores across 4 sockets — the
+# scale the NUMA tier exists for. The same in-cell ledger and
+# cross-socket asserts gate it.
+LR_NO_JSON=1 \
     cargo run -q --release --offline -p lr-bench --bin lr-bench -- \
     --scenario numa_serving --threads 1024 --ops 8 --series .s4 > /dev/null
 
@@ -102,10 +65,9 @@ rm -rf "$TR_DIR"
 
 echo "== fuzz farm: seeded differential campaign, twice, diffed =="
 # Replay-driven differential fuzzing over a fixed seed range: each seed
-# records live under msi/mesi/lease-tight, replays every trace under
-# both event-queue stores crossed with engine partition counts 1 and 2,
-# and checks the workload's built-in FAA-ledger
-# and app-ops invariants. The campaign runs twice and the outputs are
+# records live under msi/mesi/lease-tight, verifies every trace by
+# replay, and checks the workload's built-in FAA-ledger and app-ops
+# invariants. The campaign runs twice and the outputs are
 # diffed: the farm itself must be byte-deterministic. LR_FUZZ_SEEDS
 # opts in to a longer run (default 64 seeds, sub-second).
 FZ_DIR=$(mktemp -d)
@@ -125,8 +87,7 @@ cargo run -q --release --offline -p lr-fuzz --bin lr-fuzz -- \
 rm -rf "$FZ_DIR"
 
 echo "== fuzz farm: checked-in regression corpus =="
-# Every committed trace must replay byte-identical under both event
-# queues crossed with engine partition counts 1, 2, and 4.
+# Every committed trace must replay byte-identical.
 # Regenerate with: lr-fuzz --regen-corpus corpus --seeds 4
 cargo run -q --release --offline -p lr-fuzz --bin lr-fuzz -- \
     --check-corpus corpus

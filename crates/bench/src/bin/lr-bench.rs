@@ -52,8 +52,6 @@ ENVIRONMENT:
     LR_NO_JSON=1    disable the JSON export
     LR_TRACE_DIR    entry-point alias for --record (read once at startup,
                     never consulted by sweep workers)
-    LR_ENGINE_SHARDS engine partitions per simulation (partitioned
-                    event store; simulated output is byte-identical for any value)
 ";
 
 /// Per-thread ops for `--smoke`: small enough that all 19 scenarios
@@ -109,7 +107,7 @@ fn replay_directory(dir: &std::path::Path) -> ! {
     let mut failures = 0usize;
     let mut total_ops = 0u64;
     for path in &paths {
-        match lr_replay::verify_file(path, None) {
+        match lr_replay::verify_file(path) {
             Ok(v) => {
                 total_ops += v.ops;
                 println!(

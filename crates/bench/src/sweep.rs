@@ -98,9 +98,8 @@ pub fn default_jobs() -> usize {
 }
 
 /// Cap the sim-cell worker count at host parallelism. Every cell's
-/// machine runs on one host thread of its own, whatever its engine
-/// partition count, so more concurrent cells than host threads only
-/// oversubscribe. Pure — the caller supplies host parallelism.
+/// machine runs on one host thread of its own, so more concurrent
+/// cells than host threads only oversubscribe. Pure — the caller supplies host parallelism.
 pub fn clamp_jobs(jobs: usize, host: usize) -> usize {
     jobs.min(host).max(1)
 }

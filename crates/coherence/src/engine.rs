@@ -28,12 +28,12 @@
 //! [`CohEvent::DirUpdate`], [`CohEvent::Writeback`],
 //! [`CohEvent::SharerDrop`], [`CohEvent::BackInval`]) carrying a real
 //! NoC latency, at least [`CoherenceEngine::noc_min_lookahead`] — the
-//! lookahead every cross-partition push into the partitioned event
-//! store honours.
+//! bound the machine's event queue debug-asserts on every cross-tile
+//! push.
 //!
 //! In debug and `strict-invariants` builds, every tile-slice access
 //! asserts that the touched tile equals the executing tile, so a
-//! handler that silently reaches across partitions fails loudly.
+//! handler that silently reaches across tiles fails loudly.
 //!
 //! The directory is therefore *eventually consistent* with the L1s:
 //! while a `DirUpdate`/`Writeback`/`SharerDrop` rides the NoC, the
@@ -161,12 +161,11 @@ impl CoherenceEngine {
         }
     }
 
-    /// Conservative-PDES lookahead of the coherence protocol: the minimum
-    /// latency of any cross-tile NoC message. Every event this engine
-    /// schedules for a tile other than the one currently executing rides
-    /// at least one such message, so a partitioned event loop may run
-    /// each partition this many cycles ahead of the others' clocks
-    /// without risking a causality violation.
+    /// Minimum latency of any cross-tile NoC message. Every event this
+    /// engine schedules for a tile other than the one currently
+    /// executing rides at least one such message; the machine's event
+    /// queue debug-asserts this bound on every cross-tile push (its
+    /// tile-locality check).
     pub fn noc_min_lookahead(&self) -> Cycle {
         self.mesh.min_cross_latency()
     }
@@ -246,8 +245,8 @@ impl CoherenceEngine {
     // ---- public surface --------------------------------------------------
 
     /// Protocol statistics: per-tile blocks merged in tile order plus the
-    /// per-core counters. The merge is deterministic, so every partition
-    /// count reports byte-identical numbers.
+    /// per-core counters. The merge is deterministic: tile order is
+    /// fixed and every counter update commutes.
     pub fn stats(&self) -> MachineStats {
         let mut m = MachineStats::new(0);
         m.cores = self.core_stats.clone();

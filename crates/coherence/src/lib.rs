@@ -28,8 +28,7 @@
 //! channel table, its stats block. Any protocol step that needs to
 //! touch a *different* tile is split off as a follow-on [`CohEvent`]
 //! scheduled with a real NoC latency. There is no hidden shared state
-//! between handlers, only messages, so the global event order does not
-//! depend on how tiles are partitioned. In debug (and
+//! between handlers, only messages. In debug (and
 //! `strict-invariants`) builds every tile-slice access is checked
 //! against the executing tile and panics on a violation.
 
@@ -278,11 +277,9 @@ pub trait CohContext {
     ///
     /// `dest` is the tile where the event is *delivered*: the home tile
     /// for directory events, the owning core for probes, the requesting
-    /// core for grants, the copy holder for invalidations. A partitioned
-    /// executor routes the event to the partition owning that tile and
-    /// must hand it back via [`CoherenceEngine::handle`] with the same
-    /// tile; a single-queue embedder still must preserve `dest` for the
-    /// `handle` call.
+    /// core for grants, the copy holder for invalidations. The embedder
+    /// must hand the event back via [`CoherenceEngine::handle`] with
+    /// the same tile.
     fn schedule(&mut self, delay: Cycle, dest: CoreId, ev: CohEvent);
 
     /// A memory transaction issued with token `token` finished at `now`.

@@ -25,20 +25,18 @@ USAGE:
 
 MODES (default: campaign):
     campaign             Check every seed in [S, S+N): record live under
-                         msi/mesi/lease-tight, verify each trace by
-                         engine-only replay under heap AND wheel event
-                         queues x engine partition counts 1 and 2 (12
-                         replays per seed), check FAA-ledger + app-ops
-                         invariants, probe decoder robustness. Any finding is shrunk
+                         msi/mesi/lease-tight, verify each trace once by
+                         engine-only replay (3 replays per seed), check
+                         FAA-ledger + app-ops invariants, probe decoder
+                         robustness. Any finding is shrunk
                          to a minimal reproducer, persisted to the repro
                          dir, and fails the run.
     --self-test          Inject a reply mutation into a real recording
                          and require catch + shrink-to-1-op + persist.
     --regen-corpus DIR   (Re)write the healthy corpus entries for the
                          first N seeds under every variant.
-    --check-corpus DIR   Replay every *.lrt in DIR under both event
-                         queues x partition counts 1/2/4; exit non-zero
-                         on any divergence.
+    --check-corpus DIR   Verify every *.lrt in DIR by replay; exit
+                         non-zero on any divergence.
 
 OPTIONS:
     --seeds N            Campaign/corpus seed count (default:
@@ -71,7 +69,7 @@ fn seeds_default() -> u64 {
 
 fn campaign(base: u64, seeds: u64, repro_dir: &std::path::Path) -> ! {
     println!(
-        "lr-fuzz: campaign seeds {base}..{} — 3 variants x 2 queue stores x 2 shard counts per seed",
+        "lr-fuzz: campaign seeds {base}..{} — 3 variants, one replay each, per seed",
         base + seeds
     );
     let mut total_ops = 0u64;
@@ -222,8 +220,7 @@ fn main() {
         match lr_fuzz::check_corpus(&dir) {
             Ok((files, ops)) => {
                 println!(
-                    "lr-fuzz: corpus clean — {files} trace(s), {ops} ops replayed byte-identical \
-                     under heap and wheel queues x shard counts 1/2/4"
+                    "lr-fuzz: corpus clean — {files} trace(s), {ops} ops replayed byte-identical"
                 );
                 return;
             }

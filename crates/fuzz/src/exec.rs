@@ -5,13 +5,10 @@
 //! * **machine variant** ([`Variant`]): MSI baseline, MESI, and a
 //!   deliberately hostile lease configuration (tight expiry, tiny
 //!   lease table, prioritization on);
-//! * **engine variant**: every recorded trace is re-verified under
-//!   both event-queue stores (binary heap and timing wheel) crossed
-//!   with engine partition counts 1 and 2
-//!   ([`lr_replay::verify_with_variant`]) — all must be
-//!   byte-identical;
-//! * **record/replay**: the engine-only replay must reproduce every
-//!   per-op reply, the final `MachineStats` JSON, and the event count.
+//! * **record/replay**: every recorded trace is re-verified once by
+//!   engine-only replay ([`lr_replay::verify`]), which must reproduce
+//!   every per-op reply, the final `MachineStats` JSON, and the event
+//!   count.
 //!
 //! Independent of all axes, the workload's built-in invariants must
 //! hold: the counter ledger ([`Workload::counter_ledger`]) and the
@@ -19,7 +16,7 @@
 
 use crate::gen::{GenOp, Workload, DLOCK_ALGO_COUNT, MAX_COUNTERS};
 use lr_ds::ReplicatedCounter;
-use lr_machine::{program, Addr, EventQueueKind, Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_machine::{program, Addr, Machine, SystemConfig, ThreadCtx, ThreadFn};
 use lr_sim_core::tracefmt::{self, MachineTrace};
 use lr_sim_core::CoherenceProtocol;
 use lr_sync::{CsApply, Dlock, DlockHandle, DLOCK_ALGOS};
@@ -316,9 +313,9 @@ pub fn record_workload(w: &Workload, variant: Variant) -> Result<RunOutput, Stri
     })
 }
 
-/// Run every check for one (workload, variant) pair; `Ok` carries the
-/// number of replay verifications performed.
-pub fn check_variant(w: &Workload, variant: Variant) -> Result<usize, Finding> {
+/// Run every check for one (workload, variant) pair, including one
+/// replay verification of its recording.
+pub fn check_variant(w: &Workload, variant: Variant) -> Result<(), Finding> {
     let finding = |kind: &'static str, detail: String| Finding {
         seed: w.seed,
         variant: variant.name(),
@@ -356,19 +353,8 @@ pub fn check_variant(w: &Workload, variant: Variant) -> Result<usize, Finding> {
             ),
         ));
     }
-    let mut verified = 0;
-    for queue in [EventQueueKind::Heap, EventQueueKind::Wheel] {
-        // One partition pins the single-queue baseline, two exercise the
-        // cross-partition outbox and merge (the campaign's cheap subset;
-        // the corpus gate sweeps 1, 2 and 4).
-        for shards in [1usize, 2] {
-            let variant = lr_replay::EngineVariant::queue(queue).with_shards(shards);
-            lr_replay::verify_with_variant(&out.trace, variant)
-                .map_err(|d| finding("divergence", format!("[{variant}] {d}")))?;
-            verified += 1;
-        }
-    }
-    Ok(verified)
+    lr_replay::verify(&out.trace).map_err(|d| finding("divergence", d.to_string()))?;
+    Ok(())
 }
 
 /// Trace-encoding robustness probe: the encoder must round-trip, and a
@@ -437,19 +423,18 @@ pub struct SeedReport {
     pub seed: u64,
     pub threads: usize,
     pub ops: u64,
-    /// Replay verifications performed (variants × queue stores ×
-    /// engine shard counts).
+    /// Replay verifications performed (one per variant).
     pub verified: usize,
 }
 
-/// Run the full check matrix for one workload: every [`Variant`], both
-/// event-queue stores, ledger/app-ops invariants, encoding robustness,
-/// and (on every eighth seed) a record-twice determinism check.
+/// Run the full check matrix for one workload: every [`Variant`] with
+/// its replay verification, ledger/app-ops invariants, encoding
+/// robustness, and (on every eighth seed) a record-twice determinism
+/// check.
 pub fn check_workload(w: &Workload) -> Result<SeedReport, Finding> {
     let seed = w.seed;
-    let mut verified = 0;
     for v in VARIANTS {
-        verified += check_variant(w, v)?;
+        check_variant(w, v)?;
     }
     let out = record_workload(w, Variant::Msi).map_err(|e| Finding {
         seed,
@@ -478,7 +463,7 @@ pub fn check_workload(w: &Workload) -> Result<SeedReport, Finding> {
         seed,
         threads: w.threads(),
         ops: w.total_ops(),
-        verified,
+        verified: VARIANTS.len(),
     })
 }
 

@@ -13,19 +13,19 @@ fn scratch(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The first campaign seeds pass the whole check matrix (3 variants ×
-/// 2 queue stores × 2 shard counts + invariants + decode robustness).
+/// The first campaign seeds pass the whole check matrix (3 variants,
+/// one replay verification each, + invariants + decode robustness).
 #[test]
 fn first_seeds_are_clean() {
     for seed in 0..6 {
         let r = check_seed(seed).unwrap_or_else(|f| panic!("{f}"));
-        assert_eq!(r.verified, 12, "3 variants x 2 queues x 2 shard counts");
+        assert_eq!(r.verified, 3, "3 variants x 1 replay");
         assert!(r.ops > 0);
     }
 }
 
-/// Every checked-in corpus trace replays clean under the full
-/// engine-variant matrix with the tile-ownership assertions compiled in
+/// Every checked-in corpus trace replays clean, once, under the one
+/// engine with the tile-ownership assertions compiled in
 /// (debug/test builds always carry them; the CI `strict-invariants` pass
 /// re-runs this test with the mid-flight single-writer sweeps enabled
 /// as well). This drives
@@ -97,8 +97,7 @@ fn tamper_coordinates_match_divergence_report() {
 }
 
 /// Corpus regeneration is deterministic (two regens are byte-identical)
-/// and the result passes the corpus gate under both queue stores and
-/// every engine shard count.
+/// and the result passes the corpus gate.
 #[test]
 fn corpus_regen_is_deterministic_and_checkable() {
     let (a, b) = (scratch("corpus_a"), scratch("corpus_b"));

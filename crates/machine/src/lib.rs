@@ -122,9 +122,7 @@ mod rendezvous {
 pub use barrier::SimBarrier;
 pub use ctx::ThreadCtx;
 pub use live::{program, ThreadFn};
-pub use machine::{
-    engine_shards_from_env, EngineInfo, Machine, OpSource, RecordedRun, SourceAbort, TraceOutput,
-};
+pub use machine::{EngineInfo, Machine, OpSource, RecordedRun, SourceAbort, TraceOutput};
 pub use proto::{AddrVec, Op, Reply, Request};
 
-pub use lr_sim_core::{Addr, CoreId, Cycle, EventQueueKind, LineAddr, MachineStats, SystemConfig};
+pub use lr_sim_core::{Addr, CoreId, Cycle, LineAddr, MachineStats, SystemConfig};

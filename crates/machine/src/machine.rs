@@ -16,11 +16,9 @@
 //! ## Commit order
 //!
 //! Every run applies events one at a time, in the global `(time, key)`
-//! order [`ShardedQueue::pop_global`] merges out of its partitions. The
-//! canonical keys make that order independent of the partition count,
-//! so the simulated results are byte-identical at every
-//! `LR_ENGINE_SHARDS`; the shard A/B tests and the CI shards 1-vs-4
-//! gate hold us to that, byte for byte.
+//! order of [`TileQueue::pop_global`]. The canonical key stamped on
+//! each push — source tile, then that tile's push counter — breaks
+//! same-cycle ties independently of the order handlers pushed in.
 
 use crate::live::{LiveSource, ThreadFn};
 use crate::proto::{Op, Reply, Request, ALLOC_COST};
@@ -28,50 +26,10 @@ use lr_coherence::{AccessKind, CohContext, CohEvent, CoherenceEngine, ProbeActio
 use lr_lease::{ArmedCounter, BeginLease, LeaseTable, MultiLeaseBegin};
 use lr_sim_core::trace::{TraceEvent, TraceRing, TraceSink};
 use lr_sim_core::tracefmt::{self, MachineTrace};
-use lr_sim_core::{
-    CoreId, Cycle, EventQueueKind, LineAddr, MachineStats, ShardedQueue, SystemConfig,
-};
+use lr_sim_core::{CoreId, Cycle, LineAddr, MachineStats, SystemConfig, TileQueue};
 use lr_sim_mem::SimMemory;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
-use std::sync::OnceLock;
-
-static SHARDS_FROM_ENV: OnceLock<usize> = OnceLock::new();
-
-fn parse_shards_env() -> usize {
-    match std::env::var("LR_ENGINE_SHARDS") {
-        Err(_) => 1,
-        Ok(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => panic!("LR_ENGINE_SHARDS={v:?} is not a positive shard count"),
-        },
-    }
-}
-
-/// The process-wide default engine-partition count, from
-/// `LR_ENGINE_SHARDS` (default 1 = the classic single event loop).
-/// Parsed once; a bad value aborts rather than silently running the
-/// wrong engine. Each machine clamps the count to its simulated core
-/// count — partitions are slices of tiles, so there can never be more
-/// partitions than tiles.
-///
-/// The value is cached process-wide on first read: setting
-/// `LR_ENGINE_SHARDS` from *inside* the process afterwards (e.g.
-/// `std::env::set_var` in a test) can never take effect. Debug builds
-/// assert the environment still matches the cache on every read so such
-/// a stale configuration fails loudly instead of silently running the
-/// wrong partition count — tests that need a specific count should use
-/// [`Machine::with_engine_shards`] instead of mutating the environment.
-pub fn engine_shards_from_env() -> usize {
-    let cached = *SHARDS_FROM_ENV.get_or_init(parse_shards_env);
-    debug_assert_eq!(
-        cached,
-        parse_shards_env(),
-        "LR_ENGINE_SHARDS changed after its first read was cached; \
-         per-machine control belongs to Machine::with_engine_shards"
-    );
-    cached
-}
 
 /// The tile that owns the simulated heap allocator. `Malloc`/`Free`
 /// mutate one global free list, so they execute as messages delivered
@@ -201,48 +159,17 @@ fn write_trace_file(out: &TraceOutput, trace: &MachineTrace) {
 
 /// Host-level observability for one run: how the execution engine (not
 /// the simulated machine) behaved. Kept out of [`MachineStats`] so the
-/// published simulated metrics stay exactly the paper's — and so the
-/// simulated results provably cannot depend on the executor shape.
+/// published simulated metrics stay exactly the paper's.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineInfo {
     /// Discrete events the engine processed.
     pub events: u64,
-    /// Partition count the run actually used (after clamping).
-    pub shards: usize,
-    /// Events delivered across a partition boundary (mailbox traffic).
-    pub cross_events: u64,
-    /// Events whose timestamp preceded every other partition's safe
-    /// horizon (head + lookahead): the events a conservative PDES
-    /// executor could commit concurrently without risking causality.
-    pub concurrent_events: u64,
-    /// Safe-time epochs the global clock advanced through.
-    pub epochs: u64,
-    /// Conservative lookahead (cycles) stamped on cross-partition sends.
-    pub lookahead: Cycle,
     /// Heap ops (`Malloc`/`Free`) routed as messages to the allocator
     /// home tile — each one a NoC round trip charged to the issuing
     /// thread. Steady-state scenarios built on pre-allocated pools
     /// (the delegation locks) assert this stays 0, so the home-tile
     /// hotspot can never distort a lock comparison.
     pub alloc_msgs: u64,
-}
-
-/// Executor observability counters, read off the event store after a
-/// run. The engine always uses [`ShardedQueue`] (shards = 1 is a single
-/// partition — the classic engine with a mailbox layer that never
-/// fires), so every run reports the same counter set.
-fn queue_info(q: &ShardedQueue<Ev>) -> EngineInfo {
-    EngineInfo {
-        events: q.processed(),
-        shards: q.map().partitions(),
-        cross_events: q.cross_events(),
-        concurrent_events: q.concurrent_events(),
-        epochs: q.epochs(),
-        lookahead: q.lookahead(),
-        // Counted while applying `Ev::MemReq`; filled in by the run
-        // loop, which owns the engine-call context.
-        alloc_msgs: 0,
-    }
 }
 
 /// Engine events. Every variant executes at exactly one tile
@@ -271,7 +198,8 @@ enum Ev {
 }
 
 impl Ev {
-    /// The tile this event executes at (selects the owning partition).
+    /// The tile this event executes at (the source tile of every push
+    /// its handler makes).
     fn tile(&self) -> usize {
         match self {
             Ev::Start(tid) | Ev::OpStart(tid) | Ev::OpComplete(tid) => *tid,
@@ -321,7 +249,7 @@ enum Pending {
 }
 
 /// Reusable machine-loop buffers. Deferred-effect staging ping-pongs
-/// between here and [`PartCtx`] (see
+/// between here and [`CallCtx`] (see
 /// [`EngineCore::drain`]) so the steady-state loop performs no per-event
 /// heap allocation.
 #[derive(Default)]
@@ -337,7 +265,7 @@ struct Scratch {
 /// per-core lease tables and counters, and the structured trace ring
 /// (one window over the whole machine, in commit order).
 struct Shared {
-    queue: ShardedQueue<Ev>,
+    queue: TileQueue<Ev>,
     tables: Vec<LeaseTable>,
     lc: Vec<LeaseCounters>,
     prioritization: bool,
@@ -347,11 +275,10 @@ struct Shared {
 }
 
 /// Engine-call context: the base time/tile of the event being applied
-/// (every `schedule` is relative to them, and the tile both stamps the
-/// canonical push key and names the source partition) plus the
-/// deferred-effect and reuse buffers.
+/// (every `schedule` is relative to them, and the tile stamps the
+/// canonical push key) plus the deferred-effect and reuse buffers.
 #[derive(Default)]
-struct PartCtx {
+struct CallCtx {
     /// Base time of the engine call in progress (schedule() is relative).
     base: Cycle,
     /// Tile of the event being applied (push source / canonical key).
@@ -378,16 +305,16 @@ struct PartCtx {
 /// the duration of one engine call.
 struct Ctx<'a> {
     shared: &'a mut Shared,
-    ps: &'a mut PartCtx,
+    call: &'a mut CallCtx,
 }
 
 impl CohContext for Ctx<'_> {
     fn schedule(&mut self, delay: Cycle, dest: CoreId, ev: CohEvent) {
         self.shared.queue.push(
-            self.ps.tile,
-            self.ps.base,
+            self.call.tile,
+            self.call.base,
             dest.idx(),
-            self.ps.base + delay,
+            self.call.base + delay,
             Ev::Coh(dest.0, ev),
         );
     }
@@ -401,7 +328,7 @@ impl CohContext for Ctx<'_> {
     }
 
     fn xact_completed(&mut self, token: u64, now: Cycle) {
-        self.ps.completions.push((token, now));
+        self.call.completions.push((token, now));
     }
 
     fn probe_action(
@@ -423,12 +350,12 @@ impl CohContext for Ctx<'_> {
                 if regular && self.shared.prioritization {
                     // §5 prioritization: a regular request breaks the lease.
                     let found = self.shared.tables[owner.idx()]
-                        .release_into(line, &mut self.ps.released_scratch);
+                        .release_into(line, &mut self.call.released_scratch);
                     assert!(found, "Active lease vanished under release");
-                    self.shared.lc[owner.idx()].broken += self.ps.released_scratch.len() as u64;
-                    for &l in &self.ps.released_scratch {
+                    self.shared.lc[owner.idx()].broken += self.call.released_scratch.len() as u64;
+                    for &l in &self.call.released_scratch {
                         if l != line {
-                            self.ps.deferred_release.push((owner, l));
+                            self.call.deferred_release.push((owner, l));
                         }
                     }
                     ProbeAction::ProceedBreakingLease
@@ -440,12 +367,12 @@ impl CohContext for Ctx<'_> {
             // same cycle): finish the involuntary release in place.
             lr_lease::LeaseState::Expired => {
                 let found = self.shared.tables[owner.idx()]
-                    .release_into(line, &mut self.ps.released_scratch);
+                    .release_into(line, &mut self.call.released_scratch);
                 assert!(found, "Expired lease vanished under release");
-                self.shared.lc[owner.idx()].involuntary += self.ps.released_scratch.len() as u64;
-                for &l in &self.ps.released_scratch {
+                self.shared.lc[owner.idx()].involuntary += self.call.released_scratch.len() as u64;
+                for &l in &self.call.released_scratch {
                     if l != line {
-                        self.ps.deferred_release.push((owner, l));
+                        self.call.deferred_release.push((owner, l));
                     }
                 }
                 ProbeAction::ProceedBreakingLease
@@ -457,17 +384,17 @@ impl CohContext for Ctx<'_> {
         self.shared.tables[core.idx()].on_exclusive_granted_into(
             line,
             now,
-            &mut self.ps.armed_scratch,
+            &mut self.call.armed_scratch,
         );
         if self.shared.tables[core.idx()].is_leased(line, now) {
-            self.ps.to_pin.push((core, line));
+            self.call.to_pin.push((core, line));
         }
-        for a in &self.ps.armed_scratch {
+        for a in &self.call.armed_scratch {
             // Expiries fire at the leasing core's own tile. Grants are
             // delivered at that same tile, so this is a same-tile push.
             self.shared.queue.push(
-                self.ps.tile,
-                self.ps.base,
+                self.call.tile,
+                self.call.base,
                 core.idx(),
                 a.expires,
                 Ev::Expiry {
@@ -489,15 +416,15 @@ impl CohContext for Ctx<'_> {
         // Membership is a binary search against a sorted copy of the
         // pinned set (O(leases·log pinned)) instead of a linear
         // `contains` per lease line.
-        self.ps.pinned_scratch.clear();
-        self.ps.pinned_scratch.extend_from_slice(pinned);
-        self.ps.pinned_scratch.sort_unstable();
-        if let Some(l) = self.shared.tables[core.idx()].oldest_member(&self.ps.pinned_scratch) {
+        self.call.pinned_scratch.clear();
+        self.call.pinned_scratch.extend_from_slice(pinned);
+        self.call.pinned_scratch.sort_unstable();
+        if let Some(l) = self.shared.tables[core.idx()].oldest_member(&self.call.pinned_scratch) {
             self.shared.lc[core.idx()].overflow += 1;
-            if self.shared.tables[core.idx()].release_into(l, &mut self.ps.released_scratch) {
-                for &m in &self.ps.released_scratch {
+            if self.shared.tables[core.idx()].release_into(l, &mut self.call.released_scratch) {
+                for &m in &self.call.released_scratch {
                     if m != l {
-                        self.ps.deferred_release.push((core, m));
+                        self.call.deferred_release.push((core, m));
                     }
                 }
             }
@@ -508,11 +435,11 @@ impl CohContext for Ctx<'_> {
     }
 
     fn line_invalidated(&mut self, core: CoreId, line: LineAddr, _now: Cycle) {
-        if self.shared.tables[core.idx()].release_into(line, &mut self.ps.released_scratch) {
-            self.shared.lc[core.idx()].involuntary += self.ps.released_scratch.len() as u64;
-            for &m in &self.ps.released_scratch {
+        if self.shared.tables[core.idx()].release_into(line, &mut self.call.released_scratch) {
+            self.shared.lc[core.idx()].involuntary += self.call.released_scratch.len() as u64;
+            for &m in &self.call.released_scratch {
                 if m != line {
-                    self.ps.deferred_release.push((core, m));
+                    self.call.deferred_release.push((core, m));
                 }
             }
         }
@@ -551,12 +478,6 @@ pub struct Machine {
     cfg: SystemConfig,
     mem: SimMemory,
     trace_depth: usize,
-    /// Explicit event-queue store override; `None` follows the
-    /// process-wide `LR_EVENTQ` default.
-    eventq: Option<EventQueueKind>,
-    /// Explicit engine-partition override; `None` follows the
-    /// process-wide `LR_ENGINE_SHARDS` default.
-    engine_shards: Option<usize>,
     /// When set, a live run records itself and writes the trace here.
     trace_out: Option<TraceOutput>,
 }
@@ -584,30 +505,8 @@ impl Machine {
             cfg,
             mem: SimMemory::new(),
             trace_depth: 0,
-            eventq: None,
-            engine_shards: None,
             trace_out: None,
         }
-    }
-
-    /// Pin this machine to a specific event-queue store, bypassing the
-    /// `LR_EVENTQ` process default. Simulated results are required to be
-    /// byte-identical across stores; this exists for the tests that
-    /// prove it (heap/wheel A/B) — production callers keep the default.
-    pub fn with_event_queue(mut self, kind: EventQueueKind) -> Self {
-        self.eventq = Some(kind);
-        self
-    }
-
-    /// Split the event store into `n` partitions (tile slices),
-    /// bypassing the `LR_ENGINE_SHARDS` process default. `n` is clamped
-    /// to `[1, num_cores]`; 1 is the classic single event queue.
-    /// Simulated results are required to be byte-identical for every
-    /// shard count — the shard A/B tests and the CI gate prove it;
-    /// production callers keep the default.
-    pub fn with_engine_shards(mut self, n: usize) -> Self {
-        self.engine_shards = Some(n.max(1));
-        self
     }
 
     /// Keep a ring of the last `depth` structured protocol/machine trace
@@ -674,8 +573,8 @@ impl Machine {
     }
 
     /// Like [`Machine::run_counted`], returning the full [`EngineInfo`]
-    /// (shard count, cross-partition traffic, concurrency headroom)
-    /// instead of the bare event count.
+    /// (event count and allocator messages) instead of the bare event
+    /// count.
     pub fn run_counted_info(
         self,
         programs: Vec<ThreadFn>,
@@ -753,11 +652,6 @@ impl Machine {
         source: &mut dyn OpSource,
     ) -> Result<(MachineStats, SimMemory, EngineInfo), Box<SourceAbort>> {
         let cfg = self.cfg;
-        let shards = self
-            .engine_shards
-            .unwrap_or_else(engine_shards_from_env)
-            .clamp(1, cfg.num_cores);
-        let kind = self.eventq.unwrap_or_else(EventQueueKind::from_env);
         assert!(n >= 1, "no workload threads");
         assert!(
             n <= cfg.num_cores,
@@ -767,16 +661,16 @@ impl Machine {
 
         let engine = CoherenceEngine::new(&cfg);
         let mem = self.mem;
-        // Conservative-PDES lookahead: every cross-partition event rides
-        // at least one cross-tile NoC message — except a probe that
-        // races an eviction, which is served from the requester's own
-        // home slice (L2 tag + data + local hop); the min() covers that
-        // degenerate path for configs with tiny L2 latencies.
-        let lookahead = engine
+        // Tile locality: every cross-tile event rides at least one
+        // cross-tile NoC message — except a probe that races an
+        // eviction, which is served from the requester's own home slice
+        // (L2 tag + data + local hop); the min() covers that degenerate
+        // path for configs with tiny L2 latencies.
+        let min_cross_latency = engine
             .noc_min_lookahead()
             .min(cfg.l2_tag_latency + cfg.l2_data_latency + 1);
         let mut shared = Shared {
-            queue: ShardedQueue::with_kind(kind, cfg.num_cores, shards, lookahead),
+            queue: TileQueue::new(cfg.num_cores, min_cross_latency),
             tables: (0..cfg.num_cores)
                 .map(|_| LeaseTable::new(cfg.lease.clone()))
                 .collect(),
@@ -785,7 +679,7 @@ impl Machine {
             trace: TraceRing::new(self.trace_depth),
         };
         // Setup pushes: same-tile sends at t = 0, before any pop — the
-        // lookahead discipline never applies to them.
+        // cross-tile bound never applies to them.
         for tid in 0..n {
             shared.queue.push(tid, 0, tid, 0, Ev::Start(tid));
         }
@@ -794,7 +688,7 @@ impl Machine {
             cfg,
             engine,
             shared,
-            pctx: PartCtx::default(),
+            call: CallCtx::default(),
             scratch: Scratch::default(),
             mem,
             source,
@@ -812,13 +706,13 @@ impl Machine {
         // trace window, the in-flight protocol state, and every core's
         // lease table.
         //
-        // The event budget is checked here, once per event over the
-        // whole machine, so it is exact at every partition count.
+        // The event budget is checked here, once per popped event, so
+        // it is exact.
         let c = &mut core;
         let loop_result = std::panic::catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
             let budget = c.cfg.watchdog_max_events;
             let mut applied = 0u64;
-            while let Some((t, _, ev)) = c.shared.queue.pop_global() {
+            while let Some((t, ev)) = c.shared.queue.pop_global() {
                 applied += 1;
                 if applied > budget {
                     return Err("watchdog: event budget exceeded".to_string());
@@ -845,7 +739,7 @@ impl Machine {
         let EngineCore {
             engine,
             shared,
-            pctx,
+            call,
             mem,
             finish_time,
             exit_inst,
@@ -853,8 +747,10 @@ impl Machine {
             ..
         } = core;
 
-        let mut info = queue_info(&shared.queue);
-        info.alloc_msgs = pctx.alloc_msgs;
+        let info = EngineInfo {
+            events: shared.queue.processed(),
+            alloc_msgs: call.alloc_msgs,
+        };
         let mut stats = engine.stats();
         stats.total_cycles = finish_time;
         stats.app_ops = exit_ops.iter().sum();
@@ -883,7 +779,7 @@ struct EngineCore<'a> {
     cfg: SystemConfig,
     engine: CoherenceEngine,
     shared: Shared,
-    pctx: PartCtx,
+    call: CallCtx,
     scratch: Scratch,
     mem: SimMemory,
     source: &'a mut dyn OpSource,
@@ -904,8 +800,8 @@ impl EngineCore<'_> {
             "watchdog: simulated time exceeded {} cycles (livelock?)",
             self.cfg.watchdog_max_cycles
         );
-        self.pctx.base = t;
-        self.pctx.tile = ev.tile();
+        self.call.base = t;
+        self.call.tile = ev.tile();
         match ev {
             Ev::Start(tid) => self.await_request(tid, t)?,
             Ev::OpStart(tid) => {
@@ -928,7 +824,7 @@ impl EngineCore<'_> {
             Ev::Coh(dest, e) => {
                 let mut cx = Ctx {
                     shared: &mut self.shared,
-                    ps: &mut self.pctx,
+                    call: &mut self.call,
                 };
                 self.engine.handle(t, CoreId(dest), e, &mut cx);
                 self.drain(t);
@@ -953,7 +849,7 @@ impl EngineCore<'_> {
                         }
                         let mut cx = Ctx {
                             shared: &mut self.shared,
-                            ps: &mut self.pctx,
+                            call: &mut self.call,
                         };
                         self.engine.lease_released(t, core, l, &mut cx);
                     }
@@ -961,7 +857,7 @@ impl EngineCore<'_> {
                 }
             }
             Ev::MemReq { tid, op } => {
-                self.pctx.alloc_msgs += 1;
+                self.call.alloc_msgs += 1;
                 let value = match op {
                     Op::Malloc { size, align } => self.mem.alloc(size, align).0,
                     Op::Free(a) => {
@@ -1020,11 +916,11 @@ impl EngineCore<'_> {
     /// keep their high-water capacity.
     fn drain(&mut self, t: Cycle) {
         loop {
-            if self.pctx.to_pin.is_empty() && self.pctx.deferred_release.is_empty() {
+            if self.call.to_pin.is_empty() && self.call.deferred_release.is_empty() {
                 break;
             }
-            std::mem::swap(&mut self.pctx.to_pin, &mut self.scratch.pins);
-            std::mem::swap(&mut self.pctx.deferred_release, &mut self.scratch.rels);
+            std::mem::swap(&mut self.call.to_pin, &mut self.scratch.pins);
+            std::mem::swap(&mut self.call.deferred_release, &mut self.scratch.rels);
             for i in 0..self.scratch.pins.len() {
                 let (c, l) = self.scratch.pins[i];
                 self.engine.pin(c, l, true);
@@ -1033,16 +929,16 @@ impl EngineCore<'_> {
                 let (c, l) = self.scratch.rels[i];
                 let mut cx = Ctx {
                     shared: &mut self.shared,
-                    ps: &mut self.pctx,
+                    call: &mut self.call,
                 };
                 self.engine.lease_released(t, c, l, &mut cx);
             }
             self.scratch.pins.clear();
             self.scratch.rels.clear();
         }
-        if !self.pctx.completions.is_empty() {
-            std::mem::swap(&mut self.pctx.completions, &mut self.scratch.completions);
-            let tile = self.pctx.tile;
+        if !self.call.completions.is_empty() {
+            std::mem::swap(&mut self.call.completions, &mut self.scratch.completions);
+            let tile = self.call.tile;
             for i in 0..self.scratch.completions.len() {
                 let (token, done) = self.scratch.completions[i];
                 // Completions are delivered at the requesting core —
@@ -1119,7 +1015,7 @@ impl EngineCore<'_> {
                 let hit = {
                     let mut cx = Ctx {
                         shared: &mut self.shared,
-                        ps: &mut self.pctx,
+                        call: &mut self.call,
                     };
                     self.engine
                         .access(t, token, core, a.line(), kind, false, true, &mut cx)
@@ -1143,7 +1039,7 @@ impl EngineCore<'_> {
                             self.shared.lc[tid].overflow += 1;
                             let mut cx = Ctx {
                                 shared: &mut self.shared,
-                                ps: &mut self.pctx,
+                                call: &mut self.call,
                             };
                             self.engine.lease_released(t, core, d, &mut cx);
                         }
@@ -1151,7 +1047,7 @@ impl EngineCore<'_> {
                         let hit = {
                             let mut cx = Ctx {
                                 shared: &mut self.shared,
-                                ps: &mut self.pctx,
+                                call: &mut self.call,
                             };
                             self.engine.access(
                                 t,
@@ -1192,7 +1088,7 @@ impl EngineCore<'_> {
                     }
                     let mut cx = Ctx {
                         shared: &mut self.shared,
-                        ps: &mut self.pctx,
+                        call: &mut self.call,
                     };
                     self.engine.lease_released(t, core, l, &mut cx);
                 }
@@ -1207,7 +1103,7 @@ impl EngineCore<'_> {
                         for l in released {
                             let mut cx = Ctx {
                                 shared: &mut self.shared,
-                                ps: &mut self.pctx,
+                                call: &mut self.call,
                             };
                             self.engine.lease_released(t, core, l, &mut cx);
                         }
@@ -1221,7 +1117,7 @@ impl EngineCore<'_> {
                         for l in released {
                             let mut cx = Ctx {
                                 shared: &mut self.shared,
-                                ps: &mut self.pctx,
+                                call: &mut self.call,
                             };
                             self.engine.lease_released(t, core, l, &mut cx);
                         }
@@ -1234,7 +1130,7 @@ impl EngineCore<'_> {
                             let hit = {
                                 let mut cx = Ctx {
                                     shared: &mut self.shared,
-                                    ps: &mut self.pctx,
+                                    call: &mut self.call,
                                 };
                                 self.engine.access(
                                     t,
@@ -1279,7 +1175,7 @@ impl EngineCore<'_> {
                     }
                     let mut cx = Ctx {
                         shared: &mut self.shared,
-                        ps: &mut self.pctx,
+                        call: &mut self.call,
                     };
                     self.engine.lease_released(t, core, l, &mut cx);
                 }
@@ -1361,7 +1257,7 @@ impl EngineCore<'_> {
                     let hit = {
                         let mut cx = Ctx {
                             shared: &mut self.shared,
-                            ps: &mut self.pctx,
+                            call: &mut self.call,
                         };
                         self.engine.access(
                             t,

@@ -23,8 +23,7 @@
 //! traces compact cross-version regression oracles.
 
 use lr_machine::{
-    Cycle, EventQueueKind, LineAddr, Machine, MachineStats, Op, OpSource, Reply, Request,
-    SystemConfig,
+    Cycle, LineAddr, Machine, MachineStats, Op, OpSource, Reply, Request, SystemConfig,
 };
 use lr_sim_core::tracefmt::{self, MachineTrace, TraceError, TraceOp};
 use lr_sim_mem::SimMemory;
@@ -181,76 +180,18 @@ impl OpSource for ReplaySource<'_> {
     }
 }
 
-/// Execution-engine variant to replay under: the event-queue store and
-/// the engine-partition (shard) count, `None` = the process defaults.
-/// Every variant is required to reproduce a recording byte-for-byte —
-/// each axis is an independent A/B oracle over the same trace (the fuzz
-/// farm's heap-vs-wheel and shards-1/2/4 axes).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EngineVariant {
-    pub queue: Option<EventQueueKind>,
-    pub shards: Option<usize>,
-}
-
-impl EngineVariant {
-    /// Pin the event-queue store.
-    pub fn queue(kind: EventQueueKind) -> Self {
-        EngineVariant {
-            queue: Some(kind),
-            ..Default::default()
-        }
-    }
-
-    /// Pin the engine-partition count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
-        self
-    }
-}
-
-impl std::fmt::Display for EngineVariant {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.queue {
-            Some(k) => write!(f, "{k:?}")?,
-            None => write!(f, "default")?,
-        }
-        match self.shards {
-            Some(s) => write!(f, "/shards-{s}"),
-            None => Ok(()),
-        }
-    }
-}
-
 /// Re-drive a recorded trace through the engine under its recorded
 /// configuration, single-threaded. Matches unless the trace was
 /// tampered with or the protocol stack's behaviour changed since the
 /// recording.
 pub fn replay(trace: &MachineTrace) -> ReplayOutcome {
-    replay_inner(trace, trace.config.clone(), EngineVariant::default())
-}
-
-/// Like [`replay`] but pinned to a specific event-queue store. The two
-/// stores are required to produce byte-identical simulations, so a
-/// divergence here is an event-queue bug — this is the fuzz farm's
-/// heap-vs-wheel axis.
-pub fn replay_with_queue(trace: &MachineTrace, queue: EventQueueKind) -> ReplayOutcome {
-    replay_inner(trace, trace.config.clone(), EngineVariant::queue(queue))
-}
-
-/// Like [`replay`] but pinned to a full engine variant (queue store ×
-/// partition count).
-pub fn replay_with_variant(trace: &MachineTrace, variant: EngineVariant) -> ReplayOutcome {
-    replay_inner(trace, trace.config.clone(), variant)
+    replay_with_config(trace, trace.config.clone())
 }
 
 /// Like [`replay`] but under an explicit configuration — deliberately
 /// divergent configs (say, a different `dram_latency`) are how the
 /// divergence detector itself is exercised.
 pub fn replay_with_config(trace: &MachineTrace, cfg: SystemConfig) -> ReplayOutcome {
-    replay_inner(trace, cfg, EngineVariant::default())
-}
-
-fn replay_inner(trace: &MachineTrace, cfg: SystemConfig, variant: EngineVariant) -> ReplayOutcome {
     if trace.cores.is_empty()
         || cfg.num_cores < 1
         || cfg.num_cores > Machine::MAX_CORES
@@ -270,12 +211,6 @@ fn replay_inner(trace: &MachineTrace, cfg: SystemConfig, variant: EngineVariant)
         }));
     }
     let mut machine = Machine::new(cfg).with_trace(REPLAY_TRACE_DEPTH);
-    if let Some(kind) = variant.queue {
-        machine = machine.with_event_queue(kind);
-    }
-    if let Some(shards) = variant.shards {
-        machine = machine.with_engine_shards(shards);
-    }
     machine.setup(|m| *m = SimMemory::restore(&trace.mem));
     let mut source = ReplaySource::new(trace);
     match machine.run_source(trace.cores.len(), &mut source) {
@@ -327,30 +262,7 @@ fn first_diff(a: &str, b: &str) -> String {
 /// identical to the recording: every per-op reply (checked in flight),
 /// the final `MachineStats` JSON, and the engine event count.
 pub fn verify(trace: &MachineTrace) -> Result<MachineStats, Box<Divergence>> {
-    verify_with_queue(trace, None)
-}
-
-/// [`verify`] pinned to an event-queue store (`None` = process default).
-pub fn verify_with_queue(
-    trace: &MachineTrace,
-    queue: Option<EventQueueKind>,
-) -> Result<MachineStats, Box<Divergence>> {
-    verify_with_variant(
-        trace,
-        EngineVariant {
-            queue,
-            ..Default::default()
-        },
-    )
-}
-
-/// [`verify`] pinned to a full engine variant (queue store × shards).
-pub fn verify_with_variant(
-    trace: &MachineTrace,
-    variant: EngineVariant,
-) -> Result<MachineStats, Box<Divergence>> {
-    let outcome = replay_with_variant(trace, variant);
-    match outcome {
+    match replay(trace) {
         ReplayOutcome::Matched { stats, events, .. } => {
             let json = stats.to_json();
             if json != trace.stats_json {
@@ -435,25 +347,13 @@ pub struct VerifiedTrace {
     pub stats: MachineStats,
 }
 
-/// Load one trace file and [`verify`] it under the given event-queue
-/// store, folding IO, decode, and divergence failures into one
-/// printable error — the shared engine behind `lr-bench --replay`,
-/// `lr-replay`, and the fuzz farm's corpus gate.
-pub fn verify_file(path: &Path, queue: Option<EventQueueKind>) -> Result<VerifiedTrace, String> {
-    verify_file_with(
-        path,
-        EngineVariant {
-            queue,
-            ..Default::default()
-        },
-    )
-}
-
-/// [`verify_file`] pinned to a full engine variant (queue store ×
-/// partition count) — the corpus gate's shard axis.
-pub fn verify_file_with(path: &Path, variant: EngineVariant) -> Result<VerifiedTrace, String> {
+/// Load one trace file and [`verify`] it, folding IO, decode, and
+/// divergence failures into one printable error — the shared engine
+/// behind `lr-bench --replay`, `lr-replay`, and the fuzz farm's corpus
+/// gate.
+pub fn verify_file(path: &Path) -> Result<VerifiedTrace, String> {
     let trace = read_trace(path).map_err(|e| e.to_string())?;
-    let stats = verify_with_variant(&trace, variant).map_err(|d| d.to_string())?;
+    let stats = verify(&trace).map_err(|d| d.to_string())?;
     Ok(VerifiedTrace {
         ops: trace.total_ops(),
         cores: trace.cores.len(),
@@ -492,20 +392,12 @@ mod tests {
         machine.run_recorded(progs).trace
     }
 
-    /// The shard axis of the replay oracle: one recording must verify
-    /// byte-for-byte under every (queue store × partition count) engine
-    /// variant, which exercises the sharded queue's outbox delivery and
-    /// `(time, key)` merge.
+    /// A 4-core lease-contended recording verifies byte-for-byte under
+    /// the one engine.
     #[test]
     fn replay_is_byte_identical_for_every_engine_variant() {
         let trace = record_contended(4, 30);
-        for shards in [1usize, 2, 4] {
-            for queue in [EventQueueKind::Heap, EventQueueKind::Wheel] {
-                let v = EngineVariant::queue(queue).with_shards(shards);
-                verify_with_variant(&trace, v)
-                    .unwrap_or_else(|d| panic!("variant {v} diverged: {d}"));
-            }
-        }
+        verify(&trace).unwrap_or_else(|d| panic!("replay diverged: {d}"));
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! `reply_flag`), into the final stats JSON, and into the engine event
 //! count, and require the replayer to (a) catch each one, (b) report
 //! the *first* divergent record with its core/offset/cycle/line
-//! coordinates, and (c) behave identically under both event-queue
-//! stores.
+//! coordinates, and (c) behave identically whether the trace is
+//! verified in memory or from a file.
 //!
 //! [`OpRecord`]: lr_sim_core::tracefmt::OpRecord
 
-use lr_machine::{program, EventQueueKind, Machine, SystemConfig, ThreadCtx, ThreadFn};
-use lr_replay::{replay, verify, verify_with_queue, ReplayOutcome};
+use lr_machine::{program, Machine, SystemConfig, ThreadCtx, ThreadFn};
+use lr_replay::{replay, verify, verify_file, write_trace, ReplayOutcome};
 use lr_sim_core::tracefmt::{MachineTrace, TraceOp};
 
 /// Record a short contended run: every thread loops lease → read → CAS
@@ -170,23 +170,30 @@ fn live_event_count_mutation_fails_verify() {
     );
 }
 
-/// The heap/wheel event-queue axis: a clean trace verifies under both
-/// stores, and a tampered one is caught under both — with identical
-/// coordinates.
+/// `verify` and `verify_file` both pass the clean trace and both catch
+/// the same tampered reply at the same `(core, offset, cycle)`.
 #[test]
 fn both_event_queues_verify_and_both_catch_tampering() {
+    let dir = std::env::temp_dir().join(format!("lr_divergence_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let clean_path = dir.join("clean.lrt");
+    let bad_path = dir.join("bad.lrt");
+
     let trace = record(2, 3);
-    let heap = verify_with_queue(&trace, Some(EventQueueKind::Heap)).expect("heap replay clean");
-    let wheel = verify_with_queue(&trace, Some(EventQueueKind::Wheel)).expect("wheel replay clean");
-    assert_eq!(heap.to_json(), wheel.to_json());
+    write_trace(&clean_path, &trace).expect("write clean trace");
+    let in_memory = verify(&trace).expect("in-memory replay clean");
+    let from_file = verify_file(&clean_path).expect("file replay clean");
+    assert_eq!(in_memory.to_json(), from_file.stats.to_json());
 
     let mut bad = trace;
     let off = reply_offsets(&bad, 1)[0];
     bad.cores[1][off].reply_value ^= 1;
-    let dh = verify_with_queue(&bad, Some(EventQueueKind::Heap)).expect_err("heap must catch");
-    let dw = verify_with_queue(&bad, Some(EventQueueKind::Wheel)).expect_err("wheel must catch");
-    assert_eq!(
-        (dh.core, dh.offset, dh.cycle),
-        (dw.core, dw.offset, dw.cycle)
-    );
+    write_trace(&bad_path, &bad).expect("write tampered trace");
+    let d = verify(&bad).expect_err("in-memory verify must catch");
+    let Err(file_err) = verify_file(&bad_path) else {
+        panic!("file verify must catch");
+    };
+    assert_eq!((d.core, d.offset), (1, off));
+    assert_eq!(file_err, d.to_string());
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -18,9 +18,9 @@ mod wheel;
 pub mod zipf;
 
 pub use config::{CoherenceProtocol, EnergyModel, LeaseConfig, SystemConfig};
-pub use event::{EventQueue, EventQueueKind};
+pub use event::EventQueue;
 pub use rng::SplitMix64;
-pub use shard::{PartitionMap, ShardedQueue};
+pub use shard::TileQueue;
 pub use stats::{CoreStats, MachineStats};
 pub use trace::{TraceAccess, TraceEvent, TraceRecord, TraceRing, TraceSink};
 pub use tracefmt::{config_fingerprint, MachineTrace, MemImage, OpRecord, TraceError, TraceOp};

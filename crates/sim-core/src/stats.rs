@@ -139,7 +139,7 @@ impl MachineStats {
     /// counters add, `max_dir_queue_len` takes the max, and per-core
     /// counters merge index-wise (an empty `cores` vec on either side
     /// contributes nothing — per-tile partial blocks carry scalars
-    /// only). Merging per-partition partials in fixed tile order is
+    /// only). Merging per-tile partials in fixed tile order is
     /// deterministic because every counter update is commutative and
     /// associative over `u64`/`max`, so the merged block is
     /// byte-identical to sequential accumulation.
@@ -351,7 +351,7 @@ mod tests {
 
     #[test]
     fn merge_from_is_order_independent_and_matches_sequential() {
-        // Simulate per-partition partial blocks (scalars only, empty
+        // Simulate per-tile partial blocks (scalars only, empty
         // cores) merged into a base block, vs accumulating the same
         // updates sequentially into one block.
         let mk = |d, h, q: usize| MachineStats {

@@ -36,9 +36,9 @@
 //! `(time, seq)` via ordered insertion ([`Wheel::link`]), and cascades
 //! walk that list head-to-tail through the same insertion path, so
 //! sortedness is preserved end to end. Keys need not arrive in
-//! ascending order: the sharded engine's canonical keys (src-tile ∥
-//! per-tile counter) can reach one queue out of key order at a given
-//! cycle, and the ordered insert restores the contract.
+//! ascending order: the engine's canonical keys (src-tile ∥ per-tile
+//! counter) can reach the queue out of key order at a given cycle, and
+//! the ordered insert restores the contract.
 //!
 //! # Allocation discipline
 //!
@@ -164,11 +164,11 @@ impl<E> Wheel<E> {
     /// list, keeping the list sorted by `(time, seq)`.
     ///
     /// Sequence keys used to arrive in ascending order per queue, so a
-    /// tail append sufficed. The sharded engine's canonical keys
-    /// (`src-tile` ∥ per-tile counter) are *not* globally ascending at a
-    /// given cycle — two handlers at different tiles can push same-time
-    /// events in either order — so the slot list performs an ordered
-    /// insert instead: O(1) for the common in-order case (new key ≥
+    /// tail append sufficed. The engine's canonical keys (`src-tile` ∥
+    /// per-tile counter) are *not* globally ascending at a given cycle —
+    /// two handlers at different tiles can push same-time events in
+    /// either order — so the slot list performs an ordered insert
+    /// instead: O(1) for the common in-order case (new key ≥
     /// tail), a head-to-tail walk otherwise. Cascades re-file nodes
     /// head-to-tail through this same path, so sortedness is preserved
     /// end to end and the head of any slot is its `(time, seq)` minimum.

@@ -1,16 +1,37 @@
-//! Randomized property tests for the discrete-event queue: pops must be a
-//! stable sort of pushes by timestamp, for *both* backing stores (the
-//! `BinaryHeap` baseline and the hierarchical timing wheel), checked
-//! against one shared sorted-oracle model. Driven by the in-tree
-//! [`SplitMix64`] generator, so every case is reproducible from its loop
-//! index.
+//! Randomized property tests for the wheel-backed discrete-event
+//! queue: pops must be a stable sort of pushes by timestamp, checked
+//! against a sorted-oracle model and against an independent
+//! `BinaryHeap` reference queue. Driven by the in-tree [`SplitMix64`]
+//! generator, so every case is reproducible from its loop index.
 
-use lr_sim_core::{EventQueue, EventQueueKind, SplitMix64};
+use lr_sim_core::{EventQueue, SplitMix64};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-const KINDS: [EventQueueKind; 2] = [EventQueueKind::Heap, EventQueueKind::Wheel];
+/// Reference model: a `BinaryHeap` over `(time, push seq)`, so ties pop
+/// in push order — the queue contract, built without the wheel.
+#[derive(Default)]
+struct HeapQueue {
+    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    seq: u64,
+    now: u64,
+}
 
-/// The oracle: replay an interleaved push/pop schedule through `kind`
-/// and demand the popped stream equal a stable sort (by time, ties in
+impl HeapQueue {
+    fn push_after(&mut self, delay: u64, id: usize) {
+        self.heap.push(Reverse((self.now + delay, self.seq, id)));
+        self.seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(u64, usize)> {
+        let Reverse((t, _, id)) = self.heap.pop()?;
+        self.now = t;
+        Some((t, id))
+    }
+}
+
+/// The oracle: replay an interleaved push/pop schedule through the
+/// queue and demand the popped stream equal a stable sort (by time, ties in
 /// push order) of everything pushed.
 ///
 /// A schedule is a list of steps; `Push(delay)` schedules the next id at
@@ -22,8 +43,8 @@ enum Step {
     Pop,
 }
 
-fn run_schedule(kind: EventQueueKind, steps: &[Step], label: &str) {
-    let mut q = EventQueue::with_kind(kind);
+fn run_schedule(steps: &[Step], label: &str) {
+    let mut q = EventQueue::new();
     let mut pushed: Vec<(u64, usize)> = Vec::new();
     let mut popped: Vec<(u64, usize)> = Vec::new();
     let mut next_id = 0usize;
@@ -37,7 +58,7 @@ fn run_schedule(kind: EventQueueKind, steps: &[Step], label: &str) {
             }
             Step::Pop => {
                 if let Some((t, id)) = q.pop() {
-                    assert!(t >= last_time, "{label} [{kind:?}]: time went backwards");
+                    assert!(t >= last_time, "{label}: time went backwards");
                     last_time = t;
                     popped.push((t, id));
                 }
@@ -45,16 +66,16 @@ fn run_schedule(kind: EventQueueKind, steps: &[Step], label: &str) {
         }
     }
     while let Some((t, id)) = q.pop() {
-        assert!(t >= last_time, "{label} [{kind:?}]: time went backwards");
+        assert!(t >= last_time, "{label}: time went backwards");
         last_time = t;
         popped.push((t, id));
     }
-    assert_eq!(q.processed() as usize, pushed.len(), "{label} [{kind:?}]");
-    assert!(q.is_empty(), "{label} [{kind:?}]");
+    assert_eq!(q.processed() as usize, pushed.len(), "{label}");
+    assert!(q.is_empty(), "{label}");
     // Oracle: stable sort by time (ties keep push order).
     let mut expected = pushed;
     expected.sort_by_key(|&(t, _)| t);
-    assert_eq!(popped, expected, "{label} [{kind:?}]");
+    assert_eq!(popped, expected, "{label}");
 }
 
 fn random_schedule(seed: u64, max_delay: u64, push_bias: f64) -> Vec<Step> {
@@ -71,23 +92,21 @@ fn random_schedule(seed: u64, max_delay: u64, push_bias: f64) -> Vec<Step> {
         .collect()
 }
 
+/// Push-only schedules pop as a stable sort on the wheel-backed queue.
 #[test]
 fn pops_are_a_stable_sort() {
     for case in 0..256u64 {
         let sched = random_schedule(0xe_7e47_0000 + case, 50, 1.0);
-        for kind in KINDS {
-            run_schedule(kind, &sched, &format!("case {case}"));
-        }
+        run_schedule(&sched, &format!("case {case}"));
     }
 }
 
+/// Interleaved push/pop schedules never pop backwards in time.
 #[test]
 fn interleaved_push_pop_never_goes_backwards() {
     for case in 0..256u64 {
         let sched = random_schedule(0xe_7e47_1000 + case, 100, 0.5);
-        for kind in KINDS {
-            run_schedule(kind, &sched, &format!("case {case}"));
-        }
+        run_schedule(&sched, &format!("case {case}"));
     }
 }
 
@@ -117,9 +136,7 @@ fn far_future_delays_stay_sorted() {
                 }
             })
             .collect();
-        for kind in KINDS {
-            run_schedule(kind, &sched, &format!("far-future case {case}"));
-        }
+        run_schedule(&sched, &format!("far-future case {case}"));
     }
 }
 
@@ -141,9 +158,7 @@ fn dense_same_cycle_bursts_keep_fifo_order() {
                 sched.push(Step::Pop);
             }
         }
-        for kind in KINDS {
-            run_schedule(kind, &sched, &format!("burst case {case}"));
-        }
+        run_schedule(&sched, &format!("burst case {case}"));
     }
 }
 
@@ -169,39 +184,33 @@ fn window_boundary_patterns_stay_sorted() {
             sched.push(Step::Pop);
         }
     }
-    for kind in KINDS {
-        run_schedule(kind, &sched, "window boundaries");
-    }
+    run_schedule(&sched, "window boundaries");
 }
 
-/// The two stores are interchangeable: one random schedule, both
-/// queues, element-for-element identical pop streams.
+/// The wheel agrees with the independent `BinaryHeap` reference model:
+/// one random schedule, both queues, element-for-element identical pop
+/// streams.
 #[test]
 fn heap_and_wheel_agree_event_for_event() {
     for case in 0..128u64 {
         let sched = random_schedule(0xe_7e47_4000 + case, 30_000, 0.7);
-        let drive = |kind: EventQueueKind| {
-            let mut q = EventQueue::with_kind(kind);
-            let mut out = Vec::new();
-            let mut id = 0usize;
-            for &s in &sched {
-                match s {
-                    Step::Push(d) => {
-                        q.push_after(d, id);
-                        id += 1;
-                    }
-                    Step::Pop => out.extend(q.pop()),
+        let mut wheel = EventQueue::new();
+        let mut heap = HeapQueue::default();
+        let (mut from_wheel, mut from_heap) = (Vec::new(), Vec::new());
+        for (id, &s) in sched.iter().enumerate() {
+            match s {
+                Step::Push(d) => {
+                    wheel.push_after(d, id);
+                    heap.push_after(d, id);
+                }
+                Step::Pop => {
+                    from_wheel.extend(wheel.pop());
+                    from_heap.extend(heap.pop());
                 }
             }
-            while let Some(e) = q.pop() {
-                out.push(e);
-            }
-            out
-        };
-        assert_eq!(
-            drive(EventQueueKind::Heap),
-            drive(EventQueueKind::Wheel),
-            "case {case}"
-        );
+        }
+        from_wheel.extend(std::iter::from_fn(|| wheel.pop()));
+        from_heap.extend(std::iter::from_fn(|| heap.pop()));
+        assert_eq!(from_heap, from_wheel, "case {case}");
     }
 }

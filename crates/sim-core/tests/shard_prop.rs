@@ -1,22 +1,18 @@
-//! Randomized property tests for the partitioned PDES queue: driving
-//! the same interleaved push/pop schedule through a [`ShardedQueue`]
-//! (any partition count, either backing store) and a single
-//! [`EventQueue`] fed the same canonical keys must produce
-//! element-for-element identical pop streams — the sharded merge over
-//! per-partition wheels plus the cross-partition outbox *is* the
-//! single-queue `(time, key)` total order, where the key is the
+//! Randomized property tests for the tile-keyed queue: driving the
+//! same interleaved push/pop schedule through a [`TileQueue`] and a
+//! plain [`EventQueue`] fed hand-computed canonical keys must produce
+//! element-for-element identical pop streams — the tile queue's
+//! stamping *is* the `(time, key)` total order, where the key is the
 //! canonical `(src_tile << 48) | per-src-tile counter` stamp. Same
 //! sorted-oracle model as `event_prop.rs`, extended with random source
 //! and destination tiles per push.
 
-use lr_sim_core::{EventQueue, EventQueueKind, ShardedQueue, SplitMix64};
+use lr_sim_core::{EventQueue, SplitMix64, TileQueue};
 
-const KINDS: [EventQueueKind; 2] = [EventQueueKind::Heap, EventQueueKind::Wheel];
-const PARTS: [usize; 5] = [1, 2, 3, 4, 7];
 const TILES: usize = 8;
 
 /// One schedule step: `Push(src_tile, dest_tile, delay)` schedules the
-/// next id at `now + delay` for `dest_tile`'s partition as a push by
+/// next id at `now + delay` for `dest_tile` as a push by
 /// `src_tile`; `Pop` pops one event (skipped while empty). Trailing
 /// drain is implicit.
 #[derive(Debug, Clone, Copy)]
@@ -50,10 +46,10 @@ fn random_schedule(seed: u64, max_delay: u64, push_bias: f64) -> Vec<Step> {
         .collect()
 }
 
-/// Pop stream of the sharded queue under (kind, parts). Lookahead 0:
-/// these schedules model arbitrary delays, not NoC-stamped ones.
-fn drive_sharded(kind: EventQueueKind, parts: usize, steps: &[Step]) -> Vec<(u64, usize)> {
-    let mut q: ShardedQueue<usize> = ShardedQueue::with_kind(kind, TILES, parts, 0);
+/// Pop stream of the tile queue. Cross-tile bound 0: these schedules
+/// model arbitrary delays, not NoC-stamped ones.
+fn drive_tiled(steps: &[Step]) -> Vec<(u64, usize)> {
+    let mut q: TileQueue<usize> = TileQueue::new(TILES, 0);
     let mut out = Vec::new();
     let mut id = 0usize;
     for &s in steps {
@@ -62,21 +58,19 @@ fn drive_sharded(kind: EventQueueKind, parts: usize, steps: &[Step]) -> Vec<(u64
                 q.push(src, q.now(), dest, q.now() + d, id);
                 id += 1;
             }
-            Step::Pop => out.extend(q.pop_global().map(|(t, _, e)| (t, e))),
+            Step::Pop => out.extend(q.pop_global()),
         }
     }
-    while let Some((t, _, e)) = q.pop_global() {
-        out.push((t, e));
-    }
+    out.extend(std::iter::from_fn(|| q.pop_global()));
     assert!(q.is_empty());
     assert_eq!(q.processed() as usize, out.len());
     out
 }
 
-/// Pop stream of the single-queue reference for the same schedule,
-/// stamped with the same canonical keys the sharded queue uses.
-fn drive_single(kind: EventQueueKind, steps: &[Step]) -> Vec<(u64, usize)> {
-    let mut q: EventQueue<usize> = EventQueue::with_kind(kind);
+/// Pop stream of the plain-queue reference for the same schedule,
+/// stamped with hand-computed canonical keys.
+fn drive_single(steps: &[Step]) -> Vec<(u64, usize)> {
+    let mut q: EventQueue<usize> = EventQueue::new();
     let mut ctrs = [0u64; TILES];
     let mut now = 0u64;
     let mut out = Vec::new();
@@ -102,10 +96,10 @@ fn drive_single(kind: EventQueueKind, steps: &[Step]) -> Vec<(u64, usize)> {
     out
 }
 
-/// Full cross-check for one schedule: every (kind, parts) sharded run
-/// equals the single-queue run equals the sorted-by-(time, key) oracle.
+/// Full cross-check for one schedule: the tile-queue run equals the
+/// plain-queue run equals the sorted-by-(time, key) oracle.
 fn check_schedule(steps: &[Step], label: &str) {
-    let reference = drive_single(EventQueueKind::Wheel, steps);
+    let reference = drive_single(steps);
     // Oracle: a naive O(n) discrete-event simulation over a flat
     // pending set — pop removes the `(time, key)` minimum. (A
     // retrospective full sort would be wrong: a push *after* a pop can
@@ -143,17 +137,10 @@ fn check_schedule(steps: &[Step], label: &str) {
         reference, expected,
         "{label}: single-queue vs sorted oracle"
     );
-    for kind in KINDS {
-        for parts in PARTS {
-            assert_eq!(
-                drive_sharded(kind, parts, steps),
-                reference,
-                "{label} [{kind:?}, {parts} partitions]"
-            );
-        }
-    }
+    assert_eq!(drive_tiled(steps), reference, "{label}: tile queue");
 }
 
+/// Push-only schedules: the tile queue matches the plain queue.
 #[test]
 fn sharded_pop_stream_equals_single_queue_push_only() {
     for case in 0..128u64 {
@@ -162,6 +149,7 @@ fn sharded_pop_stream_equals_single_queue_push_only() {
     }
 }
 
+/// Interleaved push/pop schedules: the tile queue matches the plain queue.
 #[test]
 fn sharded_pop_stream_equals_single_queue_interleaved() {
     for case in 0..128u64 {
@@ -170,8 +158,8 @@ fn sharded_pop_stream_equals_single_queue_interleaved() {
     }
 }
 
-/// Far-future delays (lease-timeout scale and beyond): partition wheels
-/// must cascade identically to the single wheel.
+/// Far-future delays (lease-timeout scale and beyond) keep canonical
+/// `(time, key)` order through the wheel's cascades.
 #[test]
 fn sharded_far_future_delays_stay_sorted() {
     for case in 0..64u64 {
@@ -199,10 +187,9 @@ fn sharded_far_future_delays_stay_sorted() {
     }
 }
 
-/// Dense same-cycle bursts across partitions: ties at one cycle spread
-/// over N partitions must pop in canonical-key order — by source tile,
-/// then by each tile's own push order — independent of partition count
-/// and of the order the pushes were committed.
+/// Dense same-cycle bursts across tiles pop in canonical-key order — by
+/// source tile, then by each tile's own push order — independent of
+/// the order the pushes were made in.
 #[test]
 fn sharded_same_cycle_bursts_keep_canonical_key_order() {
     for case in 0..64u64 {
@@ -222,62 +209,5 @@ fn sharded_same_cycle_bursts_keep_canonical_key_order() {
             }
         }
         check_schedule(&sched, &format!("burst case {case}"));
-    }
-}
-
-/// The outbox path specifically: handlers that always schedule into
-/// *other* partitions (every event enveloped) still merge into the
-/// single-queue order.
-#[test]
-fn all_cross_partition_traffic_merges_deterministically() {
-    for case in 0..64u64 {
-        let mut rng = SplitMix64::new(0x5a4d_4000 + case);
-        let parts = 4usize;
-        let mut sharded: ShardedQueue<usize> =
-            ShardedQueue::with_kind(EventQueueKind::Wheel, TILES, parts, 0);
-        let mut single: EventQueue<usize> = EventQueue::with_kind(EventQueueKind::Wheel);
-        let mut ctrs = [0u64; TILES];
-        let mut id = 0usize;
-        // Seed one event per partition, then let each pop push 0..3
-        // events into deliberately remote tiles.
-        for tile in [0usize, 2, 4, 6] {
-            let t = rng.gen_range(0u64..10);
-            let key = next_key(&mut ctrs, tile);
-            sharded.push(tile, 0, tile, t, id);
-            single.push_at_seq(t, key, id);
-            id += 1;
-        }
-        let mut out_s = Vec::new();
-        let mut out_1 = Vec::new();
-        while let Some((t, p, e)) = sharded.pop_global() {
-            out_s.push((t, e));
-            out_1.extend(single.pop().map(|(pt, pe)| {
-                assert_eq!(pt, t, "case {case}: single-queue time diverged");
-                (pt, pe)
-            }));
-            if id < 120 {
-                // The popped event's handler runs at some tile of the
-                // active partition (block size = TILES/parts = 2).
-                let src = p * 2 + rng.gen_range(0u64..2) as usize;
-                for _ in 0..1 + rng.gen_range(0u64..2) {
-                    // A tile guaranteed to live in a different partition
-                    // than the active one.
-                    let remote = ((p + 1 + rng.gen_range(0u64..3) as usize) % parts) * 2;
-                    let t2 = t + rng.gen_range(0u64..40);
-                    let key = next_key(&mut ctrs, src);
-                    sharded.push(src, t, remote, t2, id);
-                    single.push_at_seq(t2, key, id);
-                    id += 1;
-                }
-            }
-        }
-        while let Some((t, e)) = single.pop() {
-            out_1.push((t, e));
-        }
-        assert_eq!(out_s, out_1, "case {case}");
-        assert!(
-            sharded.cross_events() > 0,
-            "case {case} exercised no mailbox traffic"
-        );
     }
 }

@@ -169,11 +169,10 @@ impl Mesh {
     /// Minimum latency of any *cross-tile* message: the cheaper of one
     /// mesh hop (two co-socket tiles) and one bare link traversal (two
     /// gateway tiles), plus the serialization of the smallest message
-    /// class. This is the conservative-PDES lookahead of the sharded
-    /// engine: tiles in different partitions are necessarily different
-    /// tiles, so every cross-partition event rides a message that pays at
-    /// least this many cycles — no partition can be preempted by a
-    /// message sent less than this far in its past.
+    /// class. The machine's event queue checks every cross-tile push
+    /// against this bound (its tile-locality check): an event for
+    /// another tile rides a message, so it lands at least this many
+    /// cycles after its send.
     pub fn min_cross_latency(&self) -> Cycle {
         let ser = (self
             .flits(MsgClass::Control)
@@ -286,7 +285,7 @@ mod tests {
                 }
             }
         }
-        // Defaults: hop latency 2, 1-flit control ⇒ lookahead 2.
+        // Defaults: hop latency 2, 1-flit control ⇒ bound 2.
         assert_eq!(mesh(64).min_cross_latency(), 2);
     }
 

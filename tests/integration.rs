@@ -317,30 +317,18 @@ fn probe_delay_bounded_by_max_lease_time() {
 /// across scheduler rewrites. The in-thread coroutine runtime (and any
 /// future scheduling change) must reproduce these *exact* numbers —
 /// simulated results are a function of the event order alone, never of
-/// how workloads are resumed. (Re-captured when the relaxed-commit
-/// executor landed: canonical per-tile event keys changed same-cycle
-/// tie-breaking, and allocator ops now ride a NoC round trip to the
-/// allocator home tile — both *simulated-timing* changes, applied
-/// identically by every executor.)
+/// how workloads are resumed. (Re-captured when canonical per-tile
+/// event keys changed same-cycle tie-breaking and allocator ops began
+/// to ride a NoC round trip to the allocator home tile — both
+/// *simulated-timing* changes.)
 ///
-/// Pinned against *both* event-queue stores: the timing wheel (the
-/// production default) and the `BinaryHeap` baseline must each hit the
-/// mpsc-era goldens, proving the wheel preserves the exact
-/// `(time, seq)` event order the numbers were captured under.
+/// Checks the wheel-backed tile queue against the goldens, proving it
+/// keeps the exact `(time, key)` event order they were captured under.
 #[test]
 fn scheduler_change_preserves_golden_stats() {
-    for kind in [
-        lease_release::machine::EventQueueKind::Wheel,
-        lease_release::machine::EventQueueKind::Heap,
-    ] {
-        scheduler_golden_stats_for(kind);
-    }
-}
-
-fn scheduler_golden_stats_for(kind: lease_release::machine::EventQueueKind) {
     let run = || {
         let threads = 8;
-        let mut m = Machine::new(cfg(threads)).with_event_queue(kind);
+        let mut m = Machine::new(cfg(threads));
         let s = m.setup(|mem| TreiberStack::init(mem, StackVariant::Leased));
         let progs: Vec<ThreadFn> = (0..threads)
             .map(|_| {
