@@ -84,6 +84,26 @@ echo "== fuzz farm: injected-mutation detection drill =="
 # reproducer that still fails verification after a disk round-trip.
 cargo run -q --release --offline -p lr-fuzz --bin lr-fuzz -- \
     --self-test --repro-dir "$FZ_DIR/drill"
+
+echo "== lr-replay: a failing replay explains itself =="
+# Replay the drill's persisted reproducer through the CLI. Verification
+# runs untraced and a failure is replayed again with tracing on, so the
+# CLI must exit 1 and print a report whose trace window holds at least
+# one t= record (not the tracing-off note).
+status=0
+cargo run -q --release --offline -p lr-replay --bin lr-replay -- "$FZ_DIR"/drill/*.lrt \
+    > /dev/null 2> "$FZ_DIR/drill_replay.txt" || status=$?
+if [ "$status" -ne 1 ]; then
+    cat "$FZ_DIR/drill_replay.txt"
+    echo "lr-replay exited $status on the drill reproducer; expected 1"
+    exit 1
+fi
+if ! sed -n '/^-- trace window --$/,/^-- in-flight protocol state --$/p' \
+    "$FZ_DIR/drill_replay.txt" | grep -q '^ *t='; then
+    cat "$FZ_DIR/drill_replay.txt"
+    echo "lr-replay's failure report has no t= record in its trace window"
+    exit 1
+fi
 rm -rf "$FZ_DIR"
 
 echo "== fuzz farm: checked-in regression corpus =="

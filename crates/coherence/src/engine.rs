@@ -102,8 +102,11 @@ struct TileState {
     /// directory path allocation-free (audited by `lr-bench`'s
     /// `cell_alloc` counting-allocator test).
     free_channels: Vec<LineChannel>,
-    /// Probes stalled behind leases held by this tile's core.
-    stalled: HashMap<LineAddr, PendingProbe>,
+    /// Probes stalled behind leases held by this tile's core, in arrival
+    /// order. A probe stalls only behind an Active lease of this core,
+    /// at most one per line (Proposition 1), so the table never holds
+    /// more than `max_num_leases` entries: a linear scan beats hashing.
+    stalled: Vec<(LineAddr, PendingProbe)>,
     /// Per-core issue counter for transaction ids.
     xact_ctr: u64,
     /// Misses issued by this tile's core that have not been granted yet.
@@ -138,11 +141,9 @@ pub struct CoherenceEngine {
 impl CoherenceEngine {
     /// Build the engine for `cfg.num_cores` tiles.
     pub fn new(cfg: &SystemConfig) -> Self {
-        assert!(
-            cfg.num_cores >= 1 && cfg.num_cores <= crate::CoreSet::CAPACITY,
-            "sharer sets support up to {} cores",
-            crate::CoreSet::CAPACITY
-        );
+        if let Err(e) = cfg.validate() {
+            panic!("invalid SystemConfig: {e}");
+        }
         let l1 = (0..cfg.num_cores)
             .map(|_| SetAssocCache::new(cfg.l1_sets(), cfg.l1_ways))
             .collect();
@@ -183,6 +184,20 @@ impl CoherenceEngine {
         let tps = (self.cfg.num_cores / self.cfg.sockets) as u64;
         let s = (line.0 >> 24) % sockets;
         CoreId((s * tps + line.0 % tps) as u16)
+    }
+
+    /// The executing tile, for handlers that always run at `line`'s home
+    /// directory: cheaper than [`CoherenceEngine::home_of`]'s two
+    /// divisions, and checked against it in debug builds.
+    #[inline]
+    fn home_here(&self, line: LineAddr) -> CoreId {
+        let home = CoreId(self.cur as u16);
+        debug_assert_eq!(
+            home,
+            self.home_of(line),
+            "home-directory handler for {line} executing away from its home"
+        );
+        home
     }
 
     // ---- tile-ownership guard -------------------------------------------
@@ -284,7 +299,10 @@ impl CoherenceEngine {
 
     /// Is a probe currently stalled behind a lease at (core, line)?
     pub fn has_stalled_probe(&self, core: CoreId, line: LineAddr) -> bool {
-        self.tiles[core.idx()].stalled.contains_key(&line)
+        self.tiles[core.idx()]
+            .stalled
+            .iter()
+            .any(|&(l, _)| l == line)
     }
 
     /// Number of in-flight transactions (for quiescence checks).
@@ -296,7 +314,7 @@ impl CoherenceEngine {
     /// -layer messages that ride the same mesh but are not coherence
     /// traffic, e.g. allocator requests).
     pub fn ctrl_latency(&self, from: CoreId, to: CoreId) -> Cycle {
-        self.mesh.latency(from, to, MsgClass::Control)
+        self.mesh.route(from, to, MsgClass::Control).latency
     }
 
     /// Diagnostic dump of in-flight protocol state (for deadlock reports).
@@ -328,21 +346,21 @@ impl CoherenceEngine {
         s
     }
 
+    /// Send one message: charge it to the executing tile's counters and
+    /// return its latency.
     fn msg(&mut self, from: CoreId, to: CoreId, class: MsgClass) -> Cycle {
-        let hops = self.mesh.flit_hops(from, to, class);
-        let socket_hops = self.mesh.socket_flit_hops(from, to, class);
-        let lat = self.mesh.latency(from, to, class);
+        let r = self.mesh.route(from, to, class);
         let ts = self.cur_stats();
         match class {
             MsgClass::Control => ts.msgs_control += 1,
             MsgClass::Data => ts.msgs_data += 1,
         }
-        ts.flit_hops += hops;
-        if socket_hops > 0 {
+        ts.flit_hops += r.flit_hops;
+        if r.socket_flit_hops > 0 {
             ts.cross_socket_msgs += 1;
-            ts.socket_flit_hops += socket_hops;
+            ts.socket_flit_hops += r.socket_flit_hops;
         }
-        lat
+        r.latency
     }
 
     /// Issue a memory access. Returns `Some(completion_time)` on an L1
@@ -442,7 +460,7 @@ impl CoherenceEngine {
             CohEvent::GrantArrive(x) => self.grant_arrive(now, x, ctx),
             CohEvent::DirUnlock(line) => self.dir_unlock(now, line, ctx),
             CohEvent::InvArrive { line } => self.inv_arrive(at, line),
-            CohEvent::DirUpdate { line, dir } => self.dir_update(now, line, dir),
+            CohEvent::DirUpdate { line, req, kept_by } => self.dir_update(now, line, req, kept_by),
             CohEvent::Writeback { line, from } => self.writeback_arrive(line, from),
             CohEvent::SharerDrop { line, from } => self.sharer_drop(line, from),
             CohEvent::BackInval { line } => self.back_inval(now, at, line, ctx),
@@ -461,7 +479,9 @@ impl CoherenceEngine {
     ) {
         self.cur = core.idx();
         self.l1_mut(core).set_pinned(line, false);
-        if let Some(p) = self.tile_mut(core).stalled.remove(&line) {
+        let stalled = &mut self.tile_mut(core).stalled;
+        if let Some(i) = stalled.iter().position(|&(l, _)| l == line) {
+            let (_, p) = stalled.remove(i);
             self.cstats(core).probe_queued_cycles += now - p.since;
             if ctx.tracing() {
                 ctx.trace(
@@ -479,7 +499,7 @@ impl CoherenceEngine {
 
     fn dir_arrive(&mut self, now: Cycle, mut x: Xact, ctx: &mut dyn CohContext) {
         let line = x.line;
-        let home = self.home_of(line);
+        let home = self.home_here(line);
         let tile = self.tile_mut(home);
         let TileState {
             channels,
@@ -517,7 +537,7 @@ impl CoherenceEngine {
     }
 
     fn dir_unlock(&mut self, now: Cycle, line: LineAddr, ctx: &mut dyn CohContext) {
-        let home = self.home_of(line);
+        let home = self.home_here(line);
         self.l2_mut(home).set_pinned(line, false);
         if ctx.tracing() {
             ctx.trace(now, TraceEvent::DirUnlock { line });
@@ -563,7 +583,7 @@ impl CoherenceEngine {
         let Xact {
             core, line, kind, ..
         } = x;
-        let home = self.home_of(line);
+        let home = self.home_here(line);
         self.cur_stats().dir_requests += 1;
         let mut t = now + self.cfg.l2_tag_latency;
 
@@ -642,7 +662,7 @@ impl CoherenceEngine {
         let Xact {
             core, line, kind, ..
         } = x;
-        let home = self.home_of(line);
+        let home = self.home_here(line);
         let mesi = self.cfg.protocol == lr_sim_core::CoherenceProtocol::Mesi;
         if self.l2_at(home).peek(line).is_none() {
             protocol_bug!(
@@ -702,14 +722,8 @@ impl CoherenceEngine {
                             },
                         );
                     }
-                    let prev = self.tile_mut(o).stalled.insert(
-                        line,
-                        PendingProbe {
-                            xact: x,
-                            since: now,
-                        },
-                    );
-                    if let Some(prev) = prev {
+                    let stalled = &mut self.tile_mut(o).stalled;
+                    if let Some(&(_, prev)) = stalled.iter().find(|&&(l, _)| l == line) {
                         protocol_bug!(
                             now,
                             "two probes stalled at {o} for {line} (prior xact {} since \
@@ -718,6 +732,13 @@ impl CoherenceEngine {
                             prev.since
                         );
                     }
+                    stalled.push((
+                        line,
+                        PendingProbe {
+                            xact: x,
+                            since: now,
+                        },
+                    ));
                 }
                 ProbeAction::ProceedBreakingLease => {
                     self.l1_mut(o).set_pinned(line, false);
@@ -773,12 +794,14 @@ impl CoherenceEngine {
                 x.id
             );
         };
-        let new_dir = if kind.needs_exclusive() {
+        // The owner either gives the line up (the home will record
+        // Modified(req)) or keeps a Shared copy (Shared({o, req})).
+        let kept_by = if kind.needs_exclusive() {
             self.l1_mut(o).remove(line);
-            DirState::Modified(req)
+            None
         } else {
             *self.l1_mut(o).peek_mut(line).unwrap() = L1State::Shared;
-            DirState::Shared(crate::CoreSet::only(o).with(req))
+            Some(o)
         };
         if owner_state == L1State::Modified {
             // Only dirty copies write back; an Exclusive (clean) copy is
@@ -792,21 +815,26 @@ impl CoherenceEngine {
         // Data ≥ Control, so the directory is current when the line's
         // channel reopens.
         let upd = self.msg(o, home, MsgClass::Control);
-        ctx.schedule(upd, home, CohEvent::DirUpdate { line, dir: new_dir });
+        ctx.schedule(upd, home, CohEvent::DirUpdate { line, req, kept_by });
         let data = self.msg(o, req, MsgClass::Data);
         ctx.schedule(t - now + data, req, CohEvent::GrantArrive(x));
     }
 
-    /// An owner's downgrade result reached the home directory.
-    fn dir_update(&mut self, now: Cycle, line: LineAddr, dir: DirState) {
-        let home = self.home_of(line);
+    /// An owner's downgrade result reached the home directory: `req` now
+    /// holds the line, exclusively unless the owner `kept_by` kept a
+    /// Shared copy (a read probe).
+    fn dir_update(&mut self, now: Cycle, line: LineAddr, req: CoreId, kept_by: Option<CoreId>) {
+        let home = self.home_here(line);
         if self.l2_at(home).peek(line).is_none() {
             protocol_bug!(
                 now,
                 "DirUpdate for {line} but no home L2 entry (pin lost mid-transaction?)"
             );
         }
-        *self.l2_mut(home).peek_mut(line).unwrap() = dir;
+        *self.l2_mut(home).peek_mut(line).unwrap() = match kept_by {
+            None => DirState::Modified(req),
+            Some(o) => DirState::Shared(crate::CoreSet::only(o).with(req)),
+        };
     }
 
     /// An invalidation reached a Shared-state holder: drop the copy.
@@ -821,7 +849,7 @@ impl CoherenceEngine {
     /// active on the line; a stale writeback (the protocol has already
     /// re-granted the line) is dropped.
     fn writeback_arrive(&mut self, line: LineAddr, from: CoreId) {
-        let home = self.home_of(line);
+        let home = self.home_here(line);
         if self.tile_at(home).channels.contains_key(&line) {
             // An active transaction rewrites the directory itself (the
             // requester re-fetches through the home or a probe-miss
@@ -840,7 +868,7 @@ impl CoherenceEngine {
     /// bit. Dropped if the directory has moved on (e.g. the line was
     /// re-granted exclusively while the notice was in flight).
     fn sharer_drop(&mut self, line: LineAddr, from: CoreId) {
-        let home = self.home_of(line);
+        let home = self.home_here(line);
         if let Some(dir) = self.l2_mut(home).peek_mut(line) {
             if let DirState::Shared(mask) = *dir {
                 let m = mask.without(from);

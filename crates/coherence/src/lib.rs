@@ -88,7 +88,7 @@ impl L1State {
 pub struct CoreSet([u64; CoreSet::WORDS]);
 
 impl CoreSet {
-    const WORDS: usize = 16;
+    const WORDS: usize = lr_sim_core::SystemConfig::MAX_CORES / 64;
     /// Largest representable core count.
     pub const CAPACITY: usize = Self::WORDS * 64;
     /// The empty set.
@@ -239,11 +239,20 @@ pub enum CohEvent {
     /// An invalidation reached a Shared-state holder (the delivery
     /// tile): drop the copy. Idempotent — the copy may already be gone.
     InvArrive { line: LineAddr },
-    /// The owner's downgrade result reached the home directory: install
-    /// the new directory state. Always arrives strictly before the same
+    /// The owner's downgrade result reached the home directory, as the
+    /// delta the home rebuilds the directory entry from: requester `req`
+    /// now holds the line, as `Modified(req)` when the owner gave it up
+    /// (`kept_by: None`) or as `Shared({o, req})` when owner `o` kept a
+    /// Shared copy (`kept_by: Some(o)`). Carrying the delta instead of a
+    /// full [`DirState`] (whose 1024-bit sharer set is 128 B) keeps every
+    /// event small. Always arrives strictly before the same
     /// transaction's `DirUnlock` (see `engine.rs` for the latency
     /// argument), so the directory is current when the channel reopens.
-    DirUpdate { line: LineAddr, dir: DirState },
+    DirUpdate {
+        line: LineAddr,
+        req: CoreId,
+        kept_by: Option<CoreId>,
+    },
     /// A victim writeback (M: data, E: clean-exclusive notice) reached
     /// the home. Applied only if the directory still names `from` as
     /// owner and no transaction is active on the line; otherwise the
@@ -256,6 +265,11 @@ pub enum CohEvent {
     /// delivery tile): drop the copy and any lease on it. Idempotent.
     BackInval { line: LineAddr },
 }
+
+// Every scheduled event is copied into the embedder's event queue, so
+// its size is paid on every message; a variant carrying a sharer set
+// would almost triple it.
+const _: () = assert!(std::mem::size_of::<CohEvent>() <= 48);
 
 /// What the lease layer tells the engine to do with a probe that reached
 /// an exclusive owner (see `lr-lease`).

@@ -708,3 +708,50 @@ fn cross_socket_access_counts_numa_traffic() {
     assert_eq!(e1.stats().cross_socket_msgs, 0);
     assert_eq!(e1.stats().socket_flit_hops, 0);
 }
+
+/// An owner's downgrade reaches the home as a delta, and the home
+/// rebuilds the directory entry from it: a read probe to an M owner
+/// leaves `Shared({owner, req})` (the owner kept a copy), a write probe
+/// leaves `Modified(req)`.
+#[test]
+fn dir_update_delta_rebuilds_the_directory_entry() {
+    let mut e = CoherenceEngine::new(&cfg(4));
+    let mut ctx = MockCtx::new();
+    let (c0, c1, c2) = (CoreId(0), CoreId(1), CoreId(2));
+    // Drain the queue; check the directory right after each DirUpdate
+    // lands and return the deltas seen.
+    let run_checking = |e: &mut CoherenceEngine, ctx: &mut MockCtx, want: DirState| {
+        let mut seen = Vec::new();
+        while let Some((t, (at, ev))) = ctx.queue.pop() {
+            e.handle(t, at, ev, ctx);
+            if let CohEvent::DirUpdate { line, req, kept_by } = ev {
+                assert_eq!(e.dir_state(line), Some(want));
+                seen.push((req, kept_by));
+            }
+        }
+        seen
+    };
+
+    // c0 takes the line in M; c1's load probes it and c0 keeps S.
+    e.access(0, 0, c0, L, AccessKind::Store, false, true, &mut ctx);
+    run(&mut e, &mut ctx);
+    let now = ctx.queue.now();
+    e.access(now, 1, c1, L, AccessKind::Load, false, true, &mut ctx);
+    let both = DirState::Shared(CoreSet::only(c0).with(c1));
+    assert_eq!(run_checking(&mut e, &mut ctx, both), [(c1, Some(c0))]);
+    assert_eq!(e.dir_state(L), Some(both));
+    e.check_invariants();
+
+    // A fresh line: c0 holds it in M, c2's store probes it away.
+    let l = LineAddr(L.0 + 1);
+    let now = ctx.queue.now();
+    e.access(now, 0, c0, l, AccessKind::Store, false, true, &mut ctx);
+    run(&mut e, &mut ctx);
+    let now = ctx.queue.now();
+    e.access(now, 2, c2, l, AccessKind::Store, false, true, &mut ctx);
+    let seen = run_checking(&mut e, &mut ctx, DirState::Modified(c2));
+    assert_eq!(seen, [(c2, None)]);
+    assert_eq!(e.l1_state(c0, l), None);
+    assert_eq!(e.l1_state(c2, l), Some(L1State::Modified));
+    e.check_invariants();
+}

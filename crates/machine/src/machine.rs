@@ -26,7 +26,7 @@ use lr_coherence::{AccessKind, CohContext, CohEvent, CoherenceEngine, ProbeActio
 use lr_lease::{ArmedCounter, BeginLease, LeaseTable, MultiLeaseBegin};
 use lr_sim_core::trace::{TraceEvent, TraceRing, TraceSink};
 use lr_sim_core::tracefmt::{self, MachineTrace};
-use lr_sim_core::{CoreId, Cycle, LineAddr, MachineStats, SystemConfig, TileQueue};
+use lr_sim_core::{Addr, CoreId, Cycle, LineAddr, MachineStats, SystemConfig, TileQueue};
 use lr_sim_mem::SimMemory;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
@@ -192,9 +192,22 @@ enum Ev {
         generation: u64,
     },
     /// A heap request reached the allocator home tile.
-    MemReq { tid: usize, op: Op },
+    MemReq { tid: usize, op: HeapOp },
     /// The allocator's reply reached the requesting core.
     MemReply { tid: usize, value: u64 },
+}
+
+// Every event is moved through the timing wheel on push and pop; keep
+// it at the size of its largest common variant (`Coh`).
+const _: () = assert!(std::mem::size_of::<Ev>() <= 56);
+
+/// A heap op on its way to the allocator home tile: the two [`Op`]s that
+/// travel as [`Ev::MemReq`], without `Op`'s much larger MultiLease
+/// address list.
+#[derive(Debug, Clone, Copy)]
+enum HeapOp {
+    Malloc { size: u64, align: u64 },
+    Free(Addr),
 }
 
 impl Ev {
@@ -498,9 +511,13 @@ impl Machine {
     /// of the directory's sharer set).
     pub const MAX_CORES: usize = lr_coherence::CoreSet::CAPACITY;
 
-    /// A machine with the given configuration and an empty heap.
+    /// A machine with the given configuration and an empty heap. Panics
+    /// with [`SystemConfig::validate`]'s message if the configuration is
+    /// invalid.
     pub fn new(cfg: SystemConfig) -> Self {
-        assert!(cfg.num_cores >= 1 && cfg.num_cores <= Self::MAX_CORES);
+        if let Err(e) = cfg.validate() {
+            panic!("invalid SystemConfig: {e}");
+        }
         Machine {
             cfg,
             mem: SimMemory::new(),
@@ -859,15 +876,10 @@ impl EngineCore<'_> {
             Ev::MemReq { tid, op } => {
                 self.call.alloc_msgs += 1;
                 let value = match op {
-                    Op::Malloc { size, align } => self.mem.alloc(size, align).0,
-                    Op::Free(a) => {
+                    HeapOp::Malloc { size, align } => self.mem.alloc(size, align).0,
+                    HeapOp::Free(a) => {
                         self.mem.free(a);
                         0
-                    }
-                    other => {
-                        return Err(format!(
-                            "non-heap op routed to the allocator home: {other:?}"
-                        ))
                     }
                 };
                 let back = self
@@ -1182,19 +1194,23 @@ impl EngineCore<'_> {
                 self.imm(tid, t, 0, true, 1);
                 self.drain(t);
             }
-            Op::Malloc { .. } | Op::Free(_) => {
-                // The heap allocator is global machine state: route the
-                // request to the allocator home tile as a message. The
-                // simulated cost model becomes ALLOC_COST plus the NoC
-                // control round trip — identical for every executor.
-                self.pending[tid] = Some(Pending::Alloc { issued: t });
-                let go = self.engine.ctrl_latency(core, CoreId(ALLOC_HOME as u16));
-                self.shared
-                    .queue
-                    .push(tid, t, ALLOC_HOME, t + go, Ev::MemReq { tid, op });
-            }
+            Op::Malloc { size, align } => self.send_heap_op(tid, t, HeapOp::Malloc { size, align }),
+            Op::Free(a) => self.send_heap_op(tid, t, HeapOp::Free(a)),
             Op::Exit { .. } => unreachable!("Exit handled in await_request"),
         }
+    }
+
+    /// The heap allocator is global machine state: route core `tid`'s
+    /// heap op to the allocator home tile as a message. The simulated
+    /// cost is ALLOC_COST plus the NoC control round trip.
+    fn send_heap_op(&mut self, tid: usize, t: Cycle, op: HeapOp) {
+        self.pending[tid] = Some(Pending::Alloc { issued: t });
+        let go = self
+            .engine
+            .ctrl_latency(CoreId(tid as u16), CoreId(ALLOC_HOME as u16));
+        self.shared
+            .queue
+            .push(tid, t, ALLOC_HOME, t + go, Ev::MemReq { tid, op });
     }
 
     /// Finish one instruction at its completion time: move data, account

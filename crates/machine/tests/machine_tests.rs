@@ -394,6 +394,16 @@ fn work_advances_time_without_traffic() {
 }
 
 #[test]
+#[should_panic(
+    expected = "invalid SystemConfig: sockets (3) must be at least 1 and divide num_cores (8)"
+)]
+fn invalid_config_is_refused_at_construction() {
+    let mut c = cfg(8);
+    c.sockets = 3;
+    Machine::new(c);
+}
+
+#[test]
 #[should_panic(expected = "panicked inside the simulation")]
 fn worker_panic_is_propagated() {
     let mut m = Machine::new(cfg(2));

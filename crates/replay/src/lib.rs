@@ -192,34 +192,82 @@ pub fn replay(trace: &MachineTrace) -> ReplayOutcome {
 /// divergent configs (say, a different `dram_latency`) are how the
 /// divergence detector itself is exercised.
 pub fn replay_with_config(trace: &MachineTrace, cfg: SystemConfig) -> ReplayOutcome {
-    if trace.cores.is_empty()
-        || cfg.num_cores < 1
-        || cfg.num_cores > Machine::MAX_CORES
-        || trace.cores.len() > cfg.num_cores
-    {
+    let unusable = cfg.validate().err().or_else(|| {
+        (trace.cores.is_empty() || trace.cores.len() > cfg.num_cores).then(|| {
+            format!(
+                "trace core count {} is incompatible with config num_cores {}",
+                trace.cores.len(),
+                cfg.num_cores
+            )
+        })
+    });
+    if let Some(detail) = unusable {
         return ReplayOutcome::Diverged(Box::new(Divergence {
             core: 0,
             offset: 0,
             cycle: 0,
             line: None,
-            detail: format!(
-                "trace core count {} is incompatible with config num_cores {}",
-                trace.cores.len(),
-                cfg.num_cores
-            ),
+            detail,
             report: String::new(),
         }));
     }
-    let mut machine = Machine::new(cfg).with_trace(REPLAY_TRACE_DEPTH);
+    // Verification runs untraced: a matching replay never reads the
+    // trace ring. A failing run is replayed again with tracing on to
+    // build its report; replay is deterministic, so the traced run
+    // fails at the same record.
+    let first = match run_replay(trace, cfg.clone(), 0) {
+        Ok((stats, mem, events)) => {
+            return ReplayOutcome::Matched {
+                stats,
+                mem: Box::new(mem),
+                events,
+            }
+        }
+        Err(d) => d,
+    };
+    let second = run_replay(trace, cfg, REPLAY_TRACE_DEPTH).err();
+    ReplayOutcome::Diverged(traced_divergence(*first, second))
+}
+
+/// The divergence to report for a run that failed untraced (`first`),
+/// given how its traced rerun failed (`second`; `None` if it matched).
+/// A rerun failing at the same `(core, offset, detail)` supplies the
+/// report with its trace window; any other outcome means replay is not
+/// deterministic, which is reported as such rather than resolved in
+/// favour of either run.
+fn traced_divergence(first: Divergence, second: Option<Box<Divergence>>) -> Box<Divergence> {
+    let second = match second {
+        Some(d) if (d.core, d.offset, &d.detail) == (first.core, first.offset, &first.detail) => {
+            return d
+        }
+        Some(d) => format!(
+            "diverged at core {} record {}: {}",
+            d.core, d.offset, d.detail
+        ),
+        None => String::from("matched the recording"),
+    };
+    Box::new(Divergence {
+        detail: format!(
+            "replay is nondeterministic: {}; the traced second run {second}",
+            first.detail
+        ),
+        ..first
+    })
+}
+
+/// One replay of `trace` under `cfg`, keeping a protocol-trace window of
+/// `trace_depth` events (0 = tracing off) for the failure report.
+fn run_replay(
+    trace: &MachineTrace,
+    cfg: SystemConfig,
+    trace_depth: usize,
+) -> Result<(MachineStats, SimMemory, u64), Box<Divergence>> {
+    let mut machine = Machine::new(cfg).with_trace(trace_depth);
     machine.setup(|m| *m = SimMemory::restore(&trace.mem));
     let mut source = ReplaySource::new(trace);
-    match machine.run_source(trace.cores.len(), &mut source) {
-        Ok((stats, mem, events)) => ReplayOutcome::Matched {
-            stats,
-            mem: Box::new(mem),
-            events,
-        },
-        Err(abort) => {
+    machine
+        .run_source(trace.cores.len(), &mut source)
+        .map_err(|abort| {
             let mut d = source.take_divergence().unwrap_or_else(|| {
                 Box::new(Divergence {
                     core: 0,
@@ -231,9 +279,8 @@ pub fn replay_with_config(trace: &MachineTrace, cfg: SystemConfig) -> ReplayOutc
                 })
             });
             d.report = abort.report;
-            ReplayOutcome::Diverged(d)
-        }
-    }
+            d
+        })
 }
 
 /// Index and context of the first differing byte between two strings
@@ -479,6 +526,72 @@ mod tests {
                 assert!(d.detail.contains("exhausted"), "detail: {}", d.detail);
             }
         }
+    }
+
+    fn divergence(core: usize, offset: usize, detail: &str, report: &str) -> Divergence {
+        Divergence {
+            core,
+            offset,
+            cycle: 9,
+            line: None,
+            detail: detail.to_string(),
+            report: report.to_string(),
+        }
+    }
+
+    #[test]
+    fn traced_rerun_supplies_the_report_only_when_it_fails_alike() {
+        let first = || divergence(1, 4, "differs", "untraced");
+        let same = traced_divergence(
+            first(),
+            Some(Box::new(divergence(1, 4, "differs", "traced"))),
+        );
+        assert_eq!(
+            (same.detail.as_str(), same.report.as_str()),
+            ("differs", "traced")
+        );
+
+        for (second, says) in [
+            (None, "the traced second run matched the recording"),
+            (
+                Some(Box::new(divergence(1, 5, "differs", "traced"))),
+                "the traced second run diverged at core 1 record 5: differs",
+            ),
+            (
+                Some(Box::new(divergence(1, 4, "exhausted", "traced"))),
+                "the traced second run diverged at core 1 record 4: exhausted",
+            ),
+        ] {
+            let d = traced_divergence(first(), second);
+            assert_eq!((d.core, d.offset, d.report.as_str()), (1, 4, "untraced"));
+            assert!(
+                d.detail.starts_with("replay is nondeterministic: differs;"),
+                "{}",
+                d.detail
+            );
+            assert!(d.detail.ends_with(says), "{}", d.detail);
+        }
+    }
+
+    #[test]
+    fn invalid_config_is_reported_as_divergence() {
+        let trace = record_contended(2, 1);
+        let mut cfg = trace.config.clone();
+        cfg.sockets = 0;
+        let ReplayOutcome::Diverged(d) = replay_with_config(&trace, cfg) else {
+            panic!("replay under an invalid config cannot match");
+        };
+        assert!(d.detail.contains("sockets (0)"), "detail: {}", d.detail);
+        let mut cfg = trace.config.clone();
+        cfg.num_cores = 1;
+        let ReplayOutcome::Diverged(d) = replay_with_config(&trace, cfg) else {
+            panic!("a 2-core trace cannot replay on 1 core");
+        };
+        assert!(
+            d.detail.contains("trace core count 2"),
+            "detail: {}",
+            d.detail
+        );
     }
 
     #[test]

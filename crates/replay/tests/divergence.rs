@@ -87,6 +87,18 @@ fn assert_caught(
         !d.report.is_empty(),
         "{field}: divergence must carry the engine failure report"
     );
+    // Verification runs untraced; the report comes from the traced
+    // rerun, so its trace window holds records, not the tracing-off note.
+    let window = d
+        .report
+        .split("-- trace window --")
+        .nth(1)
+        .and_then(|rest| rest.split("-- in-flight protocol state --").next())
+        .unwrap_or_else(|| panic!("{field}: report has no trace window:\n{}", d.report));
+    assert!(
+        window.lines().any(|l| l.trim_start().starts_with("t=")),
+        "{field}: trace window holds no t= record:\n{window}"
+    );
 }
 
 #[test]

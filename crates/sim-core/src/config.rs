@@ -184,6 +184,10 @@ impl Default for SystemConfig {
 }
 
 impl SystemConfig {
+    /// The largest simulated core count (the width of the directory's
+    /// sharer set).
+    pub const MAX_CORES: usize = 1024;
+
     /// Configuration with `n` cores and defaults otherwise.
     pub fn with_cores(n: usize) -> Self {
         SystemConfig {
@@ -192,17 +196,44 @@ impl SystemConfig {
         }
     }
 
-    /// Tiles per socket. Panics if `num_cores` is not a multiple of
-    /// `sockets` — the topology has no notion of a partially filled
-    /// socket.
+    /// Check the configuration once, where it enters the simulator
+    /// (`Machine::new`, `CoherenceEngine::new`, replay): the core count
+    /// is in `1..=MAX_CORES`, the sockets evenly divide the cores (the
+    /// topology has no notion of a partially filled socket), and both
+    /// cache levels have at least one set. Accessors such as
+    /// [`SystemConfig::tiles_per_socket`] rely on it and do not re-check.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(1..=Self::MAX_CORES).contains(&self.num_cores) {
+            return Err(format!(
+                "num_cores ({}) must be between 1 and {}",
+                self.num_cores,
+                Self::MAX_CORES
+            ));
+        }
+        if self.sockets < 1 || !self.num_cores.is_multiple_of(self.sockets) {
+            return Err(format!(
+                "sockets ({}) must be at least 1 and divide num_cores ({})",
+                self.sockets, self.num_cores
+            ));
+        }
+        if self.l1_ways == 0 || self.l1_sets() == 0 {
+            return Err(format!(
+                "L1 geometry ({} KiB, {} ways) yields no sets",
+                self.l1_kib, self.l1_ways
+            ));
+        }
+        if self.l2_ways == 0 || self.l2_sets() == 0 {
+            return Err(format!(
+                "L2 geometry ({} KiB per slice, {} ways) yields no sets",
+                self.l2_slice_kib, self.l2_ways
+            ));
+        }
+        Ok(())
+    }
+
+    /// Tiles per socket (a [`SystemConfig::validate`]d configuration's
+    /// sockets divide its cores evenly).
     pub fn tiles_per_socket(&self) -> usize {
-        assert!(self.sockets >= 1, "at least one socket");
-        assert!(
-            self.num_cores.is_multiple_of(self.sockets),
-            "num_cores ({}) must be a multiple of sockets ({})",
-            self.num_cores,
-            self.sockets
-        );
         self.num_cores / self.sockets
     }
 
@@ -290,6 +321,45 @@ mod tests {
         assert_eq!(c.l1_sets(), 128);
         // 256 KiB / 64 B / 8 ways = 512 sets.
         assert_eq!(c.l2_sets(), 512);
+    }
+
+    #[test]
+    fn default_configs_validate() {
+        for n in [1, 64, SystemConfig::MAX_CORES] {
+            assert_eq!(SystemConfig::with_cores(n).validate(), Ok(()));
+        }
+    }
+
+    fn rejection(edit: impl FnOnce(&mut SystemConfig)) -> String {
+        let mut c = SystemConfig::default();
+        edit(&mut c);
+        c.validate().expect_err("invalid config accepted")
+    }
+
+    #[test]
+    fn validate_rejects_core_count_out_of_range() {
+        assert!(rejection(|c| c.num_cores = 0).contains("num_cores (0)"));
+        let e = rejection(|c| c.num_cores = SystemConfig::MAX_CORES + 1);
+        assert!(e.contains("between 1 and 1024"), "{e}");
+    }
+
+    #[test]
+    fn validate_rejects_bad_socket_layout() {
+        assert!(rejection(|c| c.sockets = 0).contains("sockets (0)"));
+        let e = rejection(|c| c.sockets = 3);
+        assert!(e.contains("divide num_cores (64)"), "{e}");
+    }
+
+    #[test]
+    fn validate_rejects_empty_l1() {
+        assert!(rejection(|c| c.l1_ways = 0).contains("L1 geometry"));
+        assert!(rejection(|c| c.l1_kib = 0).contains("L1 geometry"));
+    }
+
+    #[test]
+    fn validate_rejects_empty_l2() {
+        assert!(rejection(|c| c.l2_ways = 0).contains("L2 geometry"));
+        assert!(rejection(|c| c.l2_slice_kib = 0).contains("L2 geometry"));
     }
 
     #[test]

@@ -441,7 +441,7 @@ fn decode_config(cur: &mut Cursor<'_>) -> Result<SystemConfig, TraceError> {
     // in the set-index math; an absurd capacity would overflow it). The
     // checksum only guards against *corruption*; these guard against
     // *crafted* inputs.
-    if cfg.num_cores < 1 || cfg.num_cores > 1024 {
+    if cfg.num_cores < 1 || cfg.num_cores > SystemConfig::MAX_CORES {
         return Err(TraceError::Malformed("num_cores"));
     }
     if cfg.sockets < 1 || cfg.sockets > 64 || !cfg.num_cores.is_multiple_of(cfg.sockets) {

@@ -32,16 +32,41 @@ pub enum MsgClass {
     Data,
 }
 
+/// Where one message goes and what it costs: the three quantities the
+/// coherence engine charges per message, from one table lookup.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Route {
+    /// Delivery latency, cycles. Same-tile messages (core to its local
+    /// L2 slice) cost a single cycle.
+    pub latency: Cycle,
+    /// Mesh flit-hops consumed (the on-die energy-model quantity).
+    pub flit_hops: u64,
+    /// Inter-socket link flits consumed (the off-package energy-model
+    /// quantity): `flits` per link crossing.
+    pub socket_flit_hops: u64,
+}
+
+/// A tile's place in the topology: its socket and its local `(x, y)`
+/// coordinates within that socket's mesh.
+#[derive(Debug, Clone, Copy)]
+struct TilePos {
+    socket: u16,
+    x: u16,
+    y: u16,
+}
+
 /// A multi-socket topology: one 2-D XY-routed mesh per socket, sockets
 /// connected by point-to-point links between gateway tiles.
 #[derive(Debug, Clone)]
 pub struct Mesh {
     /// Per-socket mesh width.
     width: usize,
-    tiles: usize,
     sockets: usize,
     /// Tiles per socket.
     tps: usize,
+    /// Per-tile `(socket, x, y)`, computed once at construction so that
+    /// routing a message needs no integer division.
+    pos: Vec<TilePos>,
     hop_latency: Cycle,
     socket_link_latency: Cycle,
     control_flits: u32,
@@ -58,11 +83,21 @@ impl Mesh {
         let sockets = config.sockets;
         let tps = config.tiles_per_socket();
         let width = (tps as f64).sqrt().ceil() as usize;
+        let pos = (0..tiles)
+            .map(|i| {
+                let local = i % tps;
+                TilePos {
+                    socket: (i / tps) as u16,
+                    x: (local % width) as u16,
+                    y: (local / width) as u16,
+                }
+            })
+            .collect();
         Mesh {
             width,
-            tiles,
             sockets,
             tps,
+            pos,
             hop_latency: config.mesh_hop_latency,
             socket_link_latency: config.socket_link_latency,
             control_flits: config.control_flits,
@@ -82,9 +117,7 @@ impl Mesh {
 
     /// Socket housing a tile (socket-major numbering).
     pub fn socket_of(&self, t: CoreId) -> usize {
-        let i = t.idx();
-        assert!(i < self.tiles, "tile {t} out of range");
-        i / self.tps
+        self.pos[t.idx()].socket as usize
     }
 
     /// Whether a message between two tiles crosses an inter-socket link.
@@ -92,48 +125,34 @@ impl Mesh {
         self.socket_of(a) != self.socket_of(b)
     }
 
-    /// Local `(x, y)` coordinates of a tile within its socket's mesh.
-    fn coords(&self, t: CoreId) -> (usize, usize) {
-        let i = t.idx();
-        assert!(i < self.tiles, "tile {t} out of range");
-        let local = i % self.tps;
-        (local % self.width, local / self.width)
-    }
-
-    /// Local Manhattan distance between two tiles of the *same* socket.
-    fn local_dist(&self, a: CoreId, b: CoreId) -> u64 {
-        let (ax, ay) = self.coords(a);
-        let (bx, by) = self.coords(b);
-        (ax.abs_diff(bx) + ay.abs_diff(by)) as u64
-    }
-
-    /// Gateway tile of a socket: local tile 0, where the inter-socket
-    /// link attaches.
-    fn gateway(&self, socket: usize) -> CoreId {
-        CoreId((socket * self.tps) as u16)
+    /// `(mesh hops, inter-socket link crossings)` of the path from `a`
+    /// to `b`. Within a socket this is the XY Manhattan distance. A
+    /// cross-socket path counts the mesh hops at both ends — source
+    /// tile to its gateway plus destination gateway to destination
+    /// tile — and one link traversal (gateway links are point-to-point
+    /// between all socket pairs). A gateway is local tile 0, at local
+    /// `(0, 0)`, so its distance to a tile is that tile's `x + y`.
+    #[inline]
+    fn path(&self, a: CoreId, b: CoreId) -> (u64, u64) {
+        let (a, b) = (self.pos[a.idx()], self.pos[b.idx()]);
+        if a.socket == b.socket {
+            ((a.x.abs_diff(b.x) + a.y.abs_diff(b.y)) as u64, 0)
+        } else {
+            ((a.x + a.y + b.x + b.y) as u64, 1)
+        }
     }
 
     /// Mesh hop count traversed by a message (0 when equal). For a
-    /// cross-socket message this counts the mesh hops at both ends —
-    /// source tile to source gateway plus destination gateway to
-    /// destination tile; the link traversal itself is not a mesh hop.
+    /// cross-socket message this counts the mesh hops at both ends; the
+    /// link traversal itself is not a mesh hop.
     pub fn hops(&self, a: CoreId, b: CoreId) -> u64 {
-        let (sa, sb) = (self.socket_of(a), self.socket_of(b));
-        if sa == sb {
-            self.local_dist(a, b)
-        } else {
-            self.local_dist(a, self.gateway(sa)) + self.local_dist(self.gateway(sb), b)
-        }
+        self.path(a, b).0
     }
 
     /// Inter-socket link traversals of one message: 0 within a socket,
-    /// 1 across (gateway links are point-to-point between all pairs).
+    /// 1 across.
     pub fn socket_crossings(&self, a: CoreId, b: CoreId) -> u64 {
-        if self.cross_socket(a, b) {
-            1
-        } else {
-            0
-        }
+        self.path(a, b).1
     }
 
     fn flits(&self, class: MsgClass) -> u32 {
@@ -143,27 +162,25 @@ impl Mesh {
         }
     }
 
-    /// Latency of one message. Same-tile messages (core to its local L2
-    /// slice) cost a single cycle.
-    pub fn latency(&self, from: CoreId, to: CoreId, class: MsgClass) -> Cycle {
-        if from == to {
-            return 1;
+    /// Route one message: its latency and the mesh and link flits it
+    /// consumes. A message pays `hop_latency` per mesh hop,
+    /// `socket_link_latency` per link crossing, and one cycle of
+    /// serialization per flit after the first; a same-tile message
+    /// costs a single cycle and consumes no flits.
+    #[inline]
+    pub fn route(&self, from: CoreId, to: CoreId, class: MsgClass) -> Route {
+        let flits = self.flits(class) as u64;
+        let (hops, crossings) = self.path(from, to);
+        let latency = if from == to {
+            1
+        } else {
+            hops * self.hop_latency + crossings * self.socket_link_latency + (flits - 1)
+        };
+        Route {
+            latency,
+            flit_hops: hops * flits,
+            socket_flit_hops: crossings * flits,
         }
-        let link = self.socket_crossings(from, to) * self.socket_link_latency;
-        self.hops(from, to) * self.hop_latency + link + (self.flits(class) as Cycle - 1)
-    }
-
-    /// Mesh flit-hops consumed by one message (the on-die energy-model
-    /// quantity; inter-socket link flits are counted separately by
-    /// [`socket_flit_hops`](Self::socket_flit_hops)).
-    pub fn flit_hops(&self, from: CoreId, to: CoreId, class: MsgClass) -> u64 {
-        self.hops(from, to) * self.flits(class) as u64
-    }
-
-    /// Inter-socket link flits consumed by one message (the off-package
-    /// energy-model quantity): `flits` per link crossing.
-    pub fn socket_flit_hops(&self, from: CoreId, to: CoreId, class: MsgClass) -> u64 {
-        self.socket_crossings(from, to) * self.flits(class) as u64
     }
 
     /// Minimum latency of any *cross-tile* message: the cheaper of one
@@ -222,6 +239,10 @@ mod tests {
         Mesh::new(&cfg)
     }
 
+    fn lat(m: &Mesh, a: u16, b: u16, class: MsgClass) -> Cycle {
+        m.route(CoreId(a), CoreId(b), class).latency
+    }
+
     #[test]
     fn square_mesh_dimensions() {
         let m = mesh(64);
@@ -253,20 +274,21 @@ mod tests {
     fn latency_model() {
         let m = mesh(64);
         // Same tile: 1 cycle regardless of class.
-        assert_eq!(m.latency(CoreId(3), CoreId(3), MsgClass::Data), 1);
+        assert_eq!(lat(&m, 3, 3, MsgClass::Data), 1);
         // One hop control: hop latency (2) + 0 serialization.
-        assert_eq!(m.latency(CoreId(0), CoreId(1), MsgClass::Control), 2);
+        assert_eq!(lat(&m, 0, 1, MsgClass::Control), 2);
         // One hop data: 2 + (9 - 1) = 10.
-        assert_eq!(m.latency(CoreId(0), CoreId(1), MsgClass::Data), 10);
+        assert_eq!(lat(&m, 0, 1, MsgClass::Data), 10);
     }
 
     #[test]
     fn flit_hops_scale_with_distance_and_size() {
         let m = mesh(64);
-        assert_eq!(m.flit_hops(CoreId(0), CoreId(1), MsgClass::Control), 1);
-        assert_eq!(m.flit_hops(CoreId(0), CoreId(1), MsgClass::Data), 9);
-        assert_eq!(m.flit_hops(CoreId(0), CoreId(63), MsgClass::Data), 14 * 9);
-        assert_eq!(m.flit_hops(CoreId(5), CoreId(5), MsgClass::Data), 0);
+        let fh = |a: u16, b: u16, class| m.route(CoreId(a), CoreId(b), class).flit_hops;
+        assert_eq!(fh(0, 1, MsgClass::Control), 1);
+        assert_eq!(fh(0, 1, MsgClass::Data), 9);
+        assert_eq!(fh(0, 63, MsgClass::Data), 14 * 9);
+        assert_eq!(fh(5, 5, MsgClass::Data), 0);
     }
 
     #[test]
@@ -279,7 +301,7 @@ mod tests {
                 for b in 0..n as u16 {
                     if a != b {
                         for class in [MsgClass::Control, MsgClass::Data] {
-                            assert!(m.latency(CoreId(a), CoreId(b), class) >= bound);
+                            assert!(lat(&m, a, b, class) >= bound);
                         }
                     }
                 }
@@ -296,7 +318,7 @@ mod tests {
             let bound = m.max_latency(MsgClass::Data);
             for a in 0..n as u16 {
                 for b in 0..n as u16 {
-                    assert!(m.latency(CoreId(a), CoreId(b), MsgClass::Data) <= bound);
+                    assert!(lat(&m, a, b, MsgClass::Data) <= bound);
                 }
             }
         }
@@ -312,10 +334,12 @@ mod tests {
 
     /// sockets=1 must be *the* flat mesh: every quantity the coherence
     /// engine reads agrees with an independently constructed flat model
-    /// for every pair and class.
+    /// for every pair and class. And each socket of a multi-socket mesh
+    /// is that same flat mesh for the messages that stay inside it
+    /// (1024 tiles over 4 sockets: four 256-tile flat meshes).
     #[test]
     fn single_socket_degenerates_to_flat_mesh() {
-        for n in [2usize, 8, 16, 64] {
+        for n in [2usize, 8, 16, 64, 1024] {
             let flat = mesh(n);
             let s1 = numa(n, 1);
             assert_eq!(s1.sockets(), 1);
@@ -326,9 +350,28 @@ mod tests {
                     assert_eq!(s1.hops(a, b), flat.hops(a, b));
                     assert_eq!(s1.socket_crossings(a, b), 0);
                     for class in [MsgClass::Control, MsgClass::Data] {
-                        assert_eq!(s1.latency(a, b, class), flat.latency(a, b, class));
-                        assert_eq!(s1.flit_hops(a, b, class), flat.flit_hops(a, b, class));
-                        assert_eq!(s1.socket_flit_hops(a, b, class), 0);
+                        let r = s1.route(a, b, class);
+                        assert_eq!(r, flat.route(a, b, class));
+                        assert_eq!(r.socket_flit_hops, 0);
+                    }
+                }
+            }
+        }
+        for (n, sockets) in [(16usize, 4usize), (1024, 4)] {
+            let m = numa(n, sockets);
+            let tps = n / sockets;
+            let flat = mesh(tps);
+            for s in 0..sockets {
+                let base = (s * tps) as u16;
+                for a in 0..tps as u16 {
+                    for b in 0..tps as u16 {
+                        for class in [MsgClass::Control, MsgClass::Data] {
+                            assert_eq!(
+                                m.route(CoreId(base + a), CoreId(base + b), class),
+                                flat.route(CoreId(a), CoreId(b), class),
+                                "n={n} sockets={sockets} socket {s}: {a}->{b}"
+                            );
+                        }
                     }
                 }
             }
@@ -351,18 +394,21 @@ mod tests {
         let m = numa(8, 2); // 2 sockets × 2x2 mesh; link latency 40
                             // Gateway to gateway: no mesh hops, one link.
         assert_eq!(m.hops(CoreId(0), CoreId(4)), 0);
-        assert_eq!(m.latency(CoreId(0), CoreId(4), MsgClass::Control), 40);
-        assert_eq!(m.latency(CoreId(0), CoreId(4), MsgClass::Data), 48);
-        assert_eq!(m.socket_flit_hops(CoreId(0), CoreId(4), MsgClass::Data), 9);
-        assert_eq!(m.flit_hops(CoreId(0), CoreId(4), MsgClass::Data), 0);
+        assert_eq!(lat(&m, 0, 4, MsgClass::Control), 40);
+        assert_eq!(
+            m.route(CoreId(0), CoreId(4), MsgClass::Data),
+            Route {
+                latency: 48,
+                flit_hops: 0,
+                socket_flit_hops: 9
+            }
+        );
         // Corner to corner: 2 mesh hops out + 2 mesh hops in + link.
         assert_eq!(m.hops(CoreId(3), CoreId(7)), 4);
-        assert_eq!(
-            m.latency(CoreId(3), CoreId(7), MsgClass::Control),
-            4 * 2 + 40
-        );
+        assert_eq!(lat(&m, 3, 7, MsgClass::Control), 4 * 2 + 40);
         // Intra-socket messages pay no link energy.
-        assert_eq!(m.socket_flit_hops(CoreId(0), CoreId(3), MsgClass::Data), 0);
+        let r = m.route(CoreId(0), CoreId(3), MsgClass::Data);
+        assert_eq!(r.socket_flit_hops, 0);
     }
 
     /// Per-hop latency/energy accounting matches a shortest-path oracle
@@ -371,7 +417,14 @@ mod tests {
     /// boundaries included.
     #[test]
     fn latency_matches_shortest_path_oracle() {
-        for (n, sockets) in [(8usize, 2usize), (16, 4), (18, 2), (12, 3), (64, 4)] {
+        for (n, sockets) in [
+            (8usize, 2usize),
+            (16, 4),
+            (18, 2),
+            (12, 3),
+            (64, 4),
+            (1024, 4),
+        ] {
             let m = numa(n, sockets);
             let tps = n / sockets;
             let width = (tps as f64).sqrt().ceil() as usize;
@@ -423,22 +476,18 @@ mod tests {
                             MsgClass::Data => m.data_flits,
                         } as Cycle
                             - 1;
+                        let (a, b) = (CoreId(src as u16), CoreId(dst as u16));
+                        let r = m.route(a, b, class);
                         assert_eq!(
-                            m.latency(CoreId(src as u16), CoreId(dst as u16), class),
+                            r.latency,
                             best + ser,
                             "n={n} sockets={sockets} {src}->{dst}"
                         );
                         // Energy decomposition: mesh flit-hops count every
                         // hop_latency edge, socket flit-hops every link edge.
-                        let flits = match class {
-                            MsgClass::Control => m.control_flits,
-                            MsgClass::Data => m.data_flits,
-                        } as u64;
-                        let (a, b) = (CoreId(src as u16), CoreId(dst as u16));
-                        assert_eq!(
-                            m.flit_hops(a, b, class) + m.socket_flit_hops(a, b, class),
-                            (m.hops(a, b) + m.socket_crossings(a, b)) * flits
-                        );
+                        let flits = ser + 1;
+                        assert_eq!(r.flit_hops, m.hops(a, b) * flits);
+                        assert_eq!(r.socket_flit_hops, m.socket_crossings(a, b) * flits);
                     }
                 }
             }
