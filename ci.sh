@@ -104,6 +104,16 @@ if ! sed -n '/^-- trace window --$/,/^-- in-flight protocol state --$/p' \
     echo "lr-replay's failure report has no t= record in its trace window"
     exit 1
 fi
+# The report is deterministic: a second replay of the same reproducer,
+# in a fresh process, must print it byte for byte.
+status2=0
+cargo run -q --release --offline -p lr-replay --bin lr-replay -- "$FZ_DIR"/drill/*.lrt \
+    > /dev/null 2> "$FZ_DIR/drill_replay2.txt" || status2=$?
+if [ "$status2" -ne 1 ]; then
+    echo "second lr-replay run exited $status2 on the drill reproducer; expected 1"
+    exit 1
+fi
+cmp "$FZ_DIR/drill_replay.txt" "$FZ_DIR/drill_replay2.txt"
 rm -rf "$FZ_DIR"
 
 echo "== fuzz farm: checked-in regression corpus =="

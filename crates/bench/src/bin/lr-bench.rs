@@ -9,8 +9,8 @@
 //! ```
 
 use lr_bench::{
-    build_plan, default_jobs, max_threads_from_env, record_dir_from_env, registry, run, JsonPolicy,
-    PlanOpts, Scenario, ScenarioKind,
+    build_plan, default_jobs, record_dir_from_env, registry, run, EnvKnobs, JsonPolicy, PlanOpts,
+    Scenario, ScenarioKind,
 };
 
 const USAGE: &str = "\
@@ -248,12 +248,14 @@ fn main() {
         threads.get_or_insert(vec![2]);
     }
 
+    // The sizing knobs are read here, once; a bad value stops the run.
+    let env = EnvKnobs::from_env().unwrap_or_else(|e| fail(&e));
     let opts = PlanOpts {
         scenarios: selected,
         series_filter,
         threads,
-        max_threads: max_threads_from_env(),
         ops,
+        env,
         jobs: jobs.unwrap_or_else(default_jobs),
         json: JsonPolicy::from_env(),
         record_dir,

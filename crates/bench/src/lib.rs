@@ -24,6 +24,5 @@ pub use report::{JsonPolicy, Report};
 pub use scenario::{CellCtx, CellOut, RecordTo, Scenario, ScenarioKind};
 pub use scenarios::{find, registry};
 pub use sweep::{
-    build_plan, default_jobs, max_threads_from_env, record_dir_from_env, run, run_scenario, Plan,
-    PlanOpts,
+    build_plan, default_jobs, record_dir_from_env, run, run_scenario, EnvKnobs, Plan, PlanOpts,
 };

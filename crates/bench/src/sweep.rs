@@ -46,13 +46,14 @@ pub struct PlanOpts {
     /// Keep only series whose name contains this substring.
     pub series_filter: Option<String>,
     /// Explicit thread axis (default: paper sweep capped by
-    /// `max_threads`).
+    /// `env.max_threads`).
     pub threads: Option<Vec<usize>>,
-    /// Cap for the default paper thread sweep.
-    pub max_threads: usize,
     /// Per-thread operation-count override (`--ops` / smoke mode);
     /// takes precedence over every environment knob.
     pub ops: Option<u64>,
+    /// Environment knobs, read once at the entry point (default: none
+    /// set), so planning itself never consults the environment.
+    pub env: EnvKnobs,
     /// Worker thread count for sim cells.
     pub jobs: usize,
     pub json: JsonPolicy,
@@ -68,8 +69,8 @@ impl Default for PlanOpts {
             scenarios: scenarios::registry().to_vec(),
             series_filter: None,
             threads: None,
-            max_threads: 64,
             ops: None,
+            env: EnvKnobs::default(),
             jobs: default_jobs(),
             json: JsonPolicy::disabled(),
             record_dir: None,
@@ -104,31 +105,69 @@ pub fn clamp_jobs(jobs: usize, host: usize) -> usize {
     jobs.min(host).max(1)
 }
 
-/// Parse `LR_MAX_THREADS` (the sweep cap) exactly once, at plan time —
-/// [`threads_sweep`] itself is pure.
-pub fn max_threads_from_env() -> usize {
-    std::env::var("LR_MAX_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(64)
+/// Cap for the default paper thread sweep when `LR_MAX_THREADS` is unset.
+const DEFAULT_MAX_THREADS: usize = 64;
+
+/// The sweep driver's sizing knobs from the environment. Read them once,
+/// at an entry point ([`EnvKnobs::from_env`]); a set but unparsable
+/// value is an error that names the variable, never silently ignored.
+/// An empty value counts as unset.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EnvKnobs {
+    /// `LR_MAX_THREADS`: cap for the default paper thread sweep.
+    pub max_threads: Option<usize>,
+    /// `LR_OPS`: per-thread operations for every scenario.
+    pub ops: Option<u64>,
+    /// The scenario-specific op knobs that are set (`Scenario::ops_env`,
+    /// e.g. `LR_NUMA_OPS`), which beat `LR_OPS` for their scenario.
+    pub scenario_ops: Vec<(&'static str, u64)>,
+    /// `LR_JOBS`: worker count for [`run_scenario`].
+    pub jobs: Option<usize>,
 }
 
-/// Resolve one scenario's per-thread operation count:
-/// explicit override (`--ops`) > scenario-specific env knob
-/// (e.g. `LR_NATIVE_OPS`) > `LR_OPS` > the scenario default.
-fn resolve_ops(sc: &Scenario, over: Option<u64>) -> u64 {
-    if let Some(o) = over {
-        return o;
+impl EnvKnobs {
+    /// Read every knob from the process environment.
+    pub fn from_env() -> Result<EnvKnobs, String> {
+        Self::parse(|k| std::env::var_os(k).map(|v| v.to_string_lossy().into_owned()))
     }
-    if let Some(var) = sc.ops_env {
-        if let Some(o) = std::env::var(var).ok().and_then(|v| v.parse().ok()) {
-            return o;
+
+    /// Read every knob through `get` (a variable's value, if set).
+    fn parse(get: impl Fn(&str) -> Option<String>) -> Result<EnvKnobs, String> {
+        let count = |var: &str| -> Result<Option<u64>, String> {
+            match get(var).filter(|v| !v.is_empty()) {
+                None => Ok(None),
+                Some(v) => match v.trim().parse::<u64>() {
+                    Ok(n) if n > 0 => Ok(Some(n)),
+                    _ => Err(format!("{var} must be a positive integer, got {v:?}")),
+                },
+            }
+        };
+        let mut scenario_ops = Vec::new();
+        for var in scenarios::registry().iter().filter_map(|sc| sc.ops_env) {
+            if let Some(n) = count(var)? {
+                scenario_ops.push((var, n));
+            }
         }
+        Ok(EnvKnobs {
+            max_threads: count("LR_MAX_THREADS")?.map(|n| n as usize),
+            ops: count("LR_OPS")?,
+            scenario_ops,
+            jobs: count("LR_JOBS")?.map(|n| n as usize),
+        })
     }
-    std::env::var("LR_OPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(sc.default_ops)
+
+    /// One scenario's per-thread operation count: explicit override
+    /// (`--ops`) > its own env knob (e.g. `LR_NATIVE_OPS`) > `LR_OPS` >
+    /// the scenario default.
+    fn ops_for(&self, sc: &Scenario, over: Option<u64>) -> u64 {
+        let own = sc.ops_env.and_then(|var| {
+            self.scenario_ops
+                .iter()
+                .find(|&&(v, _)| v == var)
+                .map(|&(_, n)| n)
+        });
+        over.or(own).or(self.ops).unwrap_or(sc.default_ops)
+    }
 }
 
 /// Expand `opts` into the canonical cell list: scenario-major (registry
@@ -137,11 +176,11 @@ pub fn build_plan(opts: &PlanOpts) -> Plan {
     let host_cap = default_jobs();
     let mut cells = Vec::new();
     for sc in &opts.scenarios {
-        let ops = resolve_ops(sc, opts.ops);
+        let ops = opts.env.ops_for(sc, opts.ops);
         let mut axis = opts
             .threads
             .clone()
-            .unwrap_or_else(|| threads_sweep(opts.max_threads));
+            .unwrap_or_else(|| threads_sweep(opts.env.max_threads.unwrap_or(DEFAULT_MAX_THREADS)));
         if sc.kind == ScenarioKind::Host {
             // Wall-clock cells beyond the host's cores only oversubscribe.
             axis.retain(|&t| t <= host_cap);
@@ -350,13 +389,14 @@ pub fn run(plan: &Plan, out: &mut (dyn Write + Send)) {
 pub fn run_scenario(name: &str) {
     let sc = scenarios::find(name)
         .unwrap_or_else(|| panic!("unknown scenario {name:?}; see `lr-bench --list`"));
+    let env = EnvKnobs::from_env().unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    });
     let opts = PlanOpts {
         scenarios: vec![sc],
-        max_threads: max_threads_from_env(),
-        jobs: std::env::var("LR_JOBS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(default_jobs),
+        jobs: env.jobs.unwrap_or_else(default_jobs),
+        env,
         json: JsonPolicy::from_env(),
         record_dir: record_dir_from_env(),
         ..PlanOpts::default()
@@ -369,6 +409,49 @@ pub fn run_scenario(name: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn knobs(vars: &[(&str, &str)]) -> Result<EnvKnobs, String> {
+        EnvKnobs::parse(|k| {
+            vars.iter()
+                .find(|&&(name, _)| name == k)
+                .map(|&(_, v)| v.to_string())
+        })
+    }
+
+    #[test]
+    fn env_knobs_parse_set_values_and_skip_unset_or_empty() {
+        assert_eq!(knobs(&[]), Ok(EnvKnobs::default()));
+        let k = knobs(&[
+            ("LR_OPS", "20"),
+            ("LR_MAX_THREADS", " 4 "),
+            ("LR_JOBS", ""),
+            ("LR_NUMA_OPS", "7"),
+        ])
+        .unwrap();
+        assert_eq!(k.ops, Some(20));
+        assert_eq!(k.max_threads, Some(4));
+        assert_eq!(k.jobs, None);
+        assert_eq!(k.scenario_ops, [("LR_NUMA_OPS", 7)]);
+        let numa = scenarios::find("numa_serving").unwrap();
+        let stack = scenarios::find("fig2_stack").unwrap();
+        assert_eq!(k.ops_for(numa, None), 7, "own knob beats LR_OPS");
+        assert_eq!(k.ops_for(stack, None), 20);
+        assert_eq!(k.ops_for(numa, Some(3)), 3, "--ops beats every knob");
+        assert_eq!(EnvKnobs::default().ops_for(stack, None), stack.default_ops);
+    }
+
+    #[test]
+    fn env_knobs_reject_unparsable_values_by_name() {
+        for var in ["LR_OPS", "LR_MAX_THREADS", "LR_JOBS", "LR_NUMA_OPS"] {
+            for bad in ["abc", "-3", "0", "1.5"] {
+                let err = knobs(&[(var, bad)]).expect_err(bad);
+                assert!(
+                    err.starts_with(var) && err.contains(&format!("{bad:?}")),
+                    "{var}={bad}: {err}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn plan_is_scenario_then_series_then_threads_ordered() {
@@ -421,7 +504,11 @@ mod tests {
     #[test]
     fn explicit_ops_override_beats_env_default() {
         let sc = scenarios::find("fig2_stack").unwrap();
-        assert_eq!(resolve_ops(sc, Some(7)), 7);
+        let env = EnvKnobs {
+            ops: Some(9),
+            ..EnvKnobs::default()
+        };
+        assert_eq!(env.ops_for(sc, Some(7)), 7);
     }
 
     #[test]

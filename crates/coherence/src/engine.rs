@@ -43,12 +43,13 @@
 //! previous transaction provably lands first (see `owner_downgrade`).
 //! Stale victim messages are detected and dropped on arrival.
 
-use crate::{AccessKind, CohContext, CohEvent, DirState, L1State, ProbeAction, Xact};
+use crate::sharers::SharerSlab;
+use crate::{AccessKind, CohContext, CohEvent, DirState, L1State, ProbeAction, SharerSet, Xact};
 use lr_sim_cache::{Inserted, SetAssocCache};
 use lr_sim_core::trace::{TraceAccess, TraceEvent};
 use lr_sim_core::{CoreId, CoreStats, Cycle, LineAddr, MachineStats, SystemConfig};
 use lr_sim_noc::{Mesh, MsgClass};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A protocol invariant does not hold: abort the simulation with a
 /// cycle-stamped reason carrying the violating core/line/transaction.
@@ -72,7 +73,7 @@ const XACT_CTR_BITS: u32 = 48;
 
 /// A probe queued at an owning core behind a lease (Section 3: at most one
 /// per (core, line) can exist — Proposition 1).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PendingProbe {
     /// The transaction whose probe is stalled.
     pub xact: Xact,
@@ -80,27 +81,45 @@ pub struct PendingProbe {
     pub since: Cycle,
 }
 
-#[derive(Debug, Default)]
+/// One line's FIFO request channel at its home directory (Assumption 1
+/// of the paper). It opens when a request finds the line idle and
+/// closes when its queue drains; in between the line's L2 way stays
+/// pinned, so a channel never outlives its directory entry.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct LineChannel {
+    line: LineAddr,
     active: Option<Xact>,
     queue: VecDeque<Xact>,
 }
 
-/// Mutable state owned by one tile: its per-line directory channels,
-/// its stalled-probe table, and its transaction bookkeeping. Handlers
-/// executing at the tile are the only code that touches it.
-#[derive(Debug, Default)]
+/// Everything one tile owns: its core's L1, its L2/directory slice with
+/// the slab its spilled sharer sets live in, its per-line directory
+/// channels and stalled-probe table, and its transaction bookkeeping.
+/// Handlers executing at the tile are the only code that touches it.
+/// Every field is deterministic, so the whole state is `Clone + Eq +
+/// Hash`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct TileState {
-    /// Per-line FIFO request channels of this tile's directory slice
-    /// (Assumption 1 of the paper).
-    channels: HashMap<LineAddr, LineChannel>,
-    /// Slab of retired channel nodes. A line's channel is created on
-    /// first directory arrival and dropped once its queue drains, so a
-    /// contended line churns through channels continuously; recycling
-    /// them keeps each queue's `VecDeque` buffer (the only per-node
-    /// heap block) alive across that churn, making the steady-state
-    /// directory path allocation-free (audited by `lr-bench`'s
-    /// `cell_alloc` counting-allocator test).
+    /// Private L1: resident lines and their M/E/S state.
+    l1: SetAssocCache<L1State>,
+    /// Shared L2 slice: resident lines and their directory entry. A
+    /// line's L2 entry is pinned while its channel is active, so the
+    /// slice never evicts a line with an in-flight transaction.
+    l2: SetAssocCache<DirState>,
+    /// Spill store of this slice's `Shared` entries whose sharers span
+    /// more than one 64-core window.
+    sharers: SharerSlab,
+    /// Open request channels of this directory slice, in opening order.
+    /// A tile has at most a handful open at once (each core has at most
+    /// one miss in flight), so a linear scan beats hashing, and the
+    /// order, unlike a hash map's, is the same on every run.
+    channels: Vec<LineChannel>,
+    /// Slab of retired channel nodes. A contended line churns through
+    /// channels continuously; recycling them keeps each queue's
+    /// `VecDeque` buffer (the only per-node heap block) alive across
+    /// that churn, making the steady-state directory path
+    /// allocation-free (audited by `lr-bench`'s `cell_alloc`
+    /// counting-allocator test).
     free_channels: Vec<LineChannel>,
     /// Probes stalled behind leases held by this tile's core, in arrival
     /// order. A probe stalls only behind an Active lease of this core,
@@ -113,17 +132,65 @@ struct TileState {
     outstanding: u64,
 }
 
+impl TileState {
+    fn new(cfg: &SystemConfig) -> Self {
+        TileState {
+            l1: SetAssocCache::new(cfg.l1_sets(), cfg.l1_ways),
+            l2: SetAssocCache::new(cfg.l2_sets(), cfg.l2_ways),
+            sharers: SharerSlab::new(cfg.num_cores),
+            channels: Vec::new(),
+            free_channels: Vec::new(),
+            stalled: Vec::new(),
+            xact_ctr: 0,
+            outstanding: 0,
+        }
+    }
+
+    /// Index of `line`'s open request channel, if any.
+    fn channel(&self, line: LineAddr) -> Option<usize> {
+        self.channels.iter().position(|ch| ch.line == line)
+    }
+
+    /// Rewrite resident `line`'s directory entry, releasing the sharer
+    /// slot of a spilled `Shared` entry it replaces.
+    fn set_dir(&mut self, line: LineAddr, new: DirState) {
+        let dir = self.l2.peek_mut(line).expect("directory entry is resident");
+        if let DirState::Shared(old) = std::mem::replace(dir, new) {
+            if new != DirState::Shared(old) {
+                self.sharers.release(old);
+            }
+        }
+    }
+}
+
+// Tile state must stay hashable and comparable, so explored states can
+// be deduplicated, and cheap to clone.
+const _: () = {
+    const fn assert_state<T: Clone + Eq + std::hash::Hash>() {}
+    assert_state::<TileState>();
+};
+
+/// Send one message: charge it to `ts`, the executing tile's counters,
+/// and return its latency.
+fn send(mesh: &Mesh, ts: &mut MachineStats, from: CoreId, to: CoreId, class: MsgClass) -> Cycle {
+    let r = mesh.route(from, to, class);
+    match class {
+        MsgClass::Control => ts.msgs_control += 1,
+        MsgClass::Data => ts.msgs_data += 1,
+    }
+    ts.flit_hops += r.flit_hops;
+    if r.socket_flit_hops > 0 {
+        ts.cross_socket_msgs += 1;
+        ts.socket_flit_hops += r.socket_flit_hops;
+    }
+    r.latency
+}
+
 /// The directory-based MSI coherence engine for all tiles.
 pub struct CoherenceEngine {
     cfg: SystemConfig,
     mesh: Mesh,
-    /// Private L1 per core: resident lines and their M/S state.
-    l1: Vec<SetAssocCache<L1State>>,
-    /// Shared L2 slice per tile: resident lines and their directory entry.
-    /// A line's L2 entry is pinned while its channel is active, so the
-    /// slice never evicts a line with an in-flight transaction.
-    l2: Vec<SetAssocCache<DirState>>,
-    /// Per-tile mutable protocol state.
+    /// Per-tile protocol state: caches, directory, channels.
     tiles: Vec<TileState>,
     /// Per-tile machine-level counters (`cores` left empty; merged in
     /// tile order by [`CoherenceEngine::stats`]).
@@ -144,17 +211,9 @@ impl CoherenceEngine {
         if let Err(e) = cfg.validate() {
             panic!("invalid SystemConfig: {e}");
         }
-        let l1 = (0..cfg.num_cores)
-            .map(|_| SetAssocCache::new(cfg.l1_sets(), cfg.l1_ways))
-            .collect();
-        let l2 = (0..cfg.num_cores)
-            .map(|_| SetAssocCache::new(cfg.l2_sets(), cfg.l2_ways))
-            .collect();
         CoherenceEngine {
             mesh: Mesh::new(cfg),
-            l1,
-            l2,
-            tiles: (0..cfg.num_cores).map(|_| TileState::default()).collect(),
+            tiles: (0..cfg.num_cores).map(|_| TileState::new(cfg)).collect(),
             tile_stats: (0..cfg.num_cores).map(|_| MachineStats::new(0)).collect(),
             core_stats: vec![CoreStats::default(); cfg.num_cores],
             cur: 0,
@@ -218,23 +277,19 @@ impl CoherenceEngine {
     }
 
     fn l1_at(&self, c: CoreId) -> &SetAssocCache<L1State> {
-        self.assert_tile(c);
-        &self.l1[c.idx()]
+        &self.tile_at(c).l1
     }
 
     fn l1_mut(&mut self, c: CoreId) -> &mut SetAssocCache<L1State> {
-        self.assert_tile(c);
-        &mut self.l1[c.idx()]
+        &mut self.tile_mut(c).l1
     }
 
     fn l2_at(&self, h: CoreId) -> &SetAssocCache<DirState> {
-        self.assert_tile(h);
-        &self.l2[h.idx()]
+        &self.tile_at(h).l2
     }
 
     fn l2_mut(&mut self, h: CoreId) -> &mut SetAssocCache<DirState> {
-        self.assert_tile(h);
-        &mut self.l2[h.idx()]
+        &mut self.tile_mut(h).l2
     }
 
     fn tile_at(&self, t: CoreId) -> &TileState {
@@ -281,12 +336,25 @@ impl CoherenceEngine {
 
     /// Current L1 state of `line` at `core` (None = Invalid).
     pub fn l1_state(&self, core: CoreId, line: LineAddr) -> Option<L1State> {
-        self.l1[core.idx()].peek(line).copied()
+        self.tiles[core.idx()].l1.peek(line).copied()
     }
 
     /// Current directory state of `line` (None = not resident in L2).
+    /// On a machine of at most 64 cores every `Shared` entry is the
+    /// inline [`SharerSet`] of its members; read a wider one with
+    /// [`CoherenceEngine::dir_sharers`].
     pub fn dir_state(&self, line: LineAddr) -> Option<DirState> {
-        self.l2[self.home_of(line).idx()].peek(line).copied()
+        self.tiles[self.home_of(line).idx()].l2.peek(line).copied()
+    }
+
+    /// The sharers the directory records for `line`, ascending (empty
+    /// unless its entry is `Shared`).
+    pub fn dir_sharers(&self, line: LineAddr) -> Vec<CoreId> {
+        let home = &self.tiles[self.home_of(line).idx()];
+        match home.l2.peek(line) {
+            Some(&DirState::Shared(set)) => home.sharers.iter(set).collect(),
+            _ => Vec::new(),
+        }
     }
 
     /// Pin or unpin `line` in `core`'s L1 (lease layer: leased lines are
@@ -294,7 +362,7 @@ impl CoherenceEngine {
     /// point: executes at `core`'s tile.
     pub fn pin(&mut self, core: CoreId, line: LineAddr, pinned: bool) -> bool {
         self.cur = core.idx();
-        self.l1[core.idx()].set_pinned(line, pinned)
+        self.tiles[core.idx()].l1.set_pinned(line, pinned)
     }
 
     /// Is a probe currently stalled behind a lease at (core, line)?
@@ -334,10 +402,11 @@ impl CoherenceEngine {
                     p.since
                 );
             }
-            for (l, ch) in &tile.channels {
+            for ch in &tile.channels {
                 let _ = writeln!(
                     s,
-                    "  channel {l} at tile {i}: active={:?} queued={:?}",
+                    "  channel {} at tile {i}: active={:?} queued={:?}",
+                    ch.line,
                     ch.active.map(|x| x.id),
                     ch.queue.iter().map(|x| x.id).collect::<Vec<_>>()
                 );
@@ -349,18 +418,7 @@ impl CoherenceEngine {
     /// Send one message: charge it to the executing tile's counters and
     /// return its latency.
     fn msg(&mut self, from: CoreId, to: CoreId, class: MsgClass) -> Cycle {
-        let r = self.mesh.route(from, to, class);
-        let ts = self.cur_stats();
-        match class {
-            MsgClass::Control => ts.msgs_control += 1,
-            MsgClass::Data => ts.msgs_data += 1,
-        }
-        ts.flit_hops += r.flit_hops;
-        if r.socket_flit_hops > 0 {
-            ts.cross_socket_msgs += 1;
-            ts.socket_flit_hops += r.socket_flit_hops;
-        }
-        r.latency
+        send(&self.mesh, &mut self.tile_stats[self.cur], from, to, class)
     }
 
     /// Issue a memory access. Returns `Some(completion_time)` on an L1
@@ -501,15 +559,15 @@ impl CoherenceEngine {
         let line = x.line;
         let home = self.home_here(line);
         let tile = self.tile_mut(home);
-        let TileState {
-            channels,
-            free_channels,
-            ..
-        } = tile;
-        let ch = channels
-            .entry(line)
-            .or_insert_with(|| free_channels.pop().unwrap_or_default());
-        if ch.active.is_some() {
+        if let Some(i) = tile.channel(line) {
+            // The active request pinned the line's way when its service
+            // started, and the pin lasts until the channel closes.
+            debug_assert!(
+                tile.l2.is_pinned(line),
+                "channel for {line} outlived its L2 pin"
+            );
+            let ch = &mut tile.channels[i];
+            debug_assert!(ch.active.is_some(), "open channel for {line} is idle");
             x.enq_time = now;
             ch.queue.push_back(x);
             let qlen = ch.queue.len();
@@ -528,7 +586,16 @@ impl CoherenceEngine {
                 );
             }
         } else {
+            // Open the channel; `service` pins the line's L2 way before
+            // this handler returns.
+            let mut ch = tile.free_channels.pop().unwrap_or_else(|| LineChannel {
+                line,
+                active: None,
+                queue: VecDeque::new(),
+            });
+            ch.line = line;
             ch.active = Some(x);
+            tile.channels.push(ch);
             if ctx.tracing() {
                 ctx.trace(now, TraceEvent::DirArrive { xact: x.id, line });
             }
@@ -538,22 +605,27 @@ impl CoherenceEngine {
 
     fn dir_unlock(&mut self, now: Cycle, line: LineAddr, ctx: &mut dyn CohContext) {
         let home = self.home_here(line);
+        debug_assert!(
+            self.l2_at(home).is_pinned(line),
+            "DirUnlock for {line} whose L2 way is not pinned"
+        );
         self.l2_mut(home).set_pinned(line, false);
         if ctx.tracing() {
             ctx.trace(now, TraceEvent::DirUnlock { line });
         }
         let tile = self.tile_mut(home);
-        let Some(ch) = tile.channels.get_mut(&line) else {
+        let Some(i) = tile.channel(line) else {
             protocol_bug!(now, "DirUnlock for {line} but no request channel exists");
         };
-        ch.active = None;
-        let next = ch.queue.pop_front();
+        let ch = &mut tile.channels[i];
+        ch.active = ch.queue.pop_front();
+        let next = ch.active;
         if next.is_none() {
-            if let Some(ch) = tile.channels.remove(&line) {
-                debug_assert!(ch.active.is_none() && ch.queue.is_empty());
-                // Recycle the node: its queue keeps (empty) capacity.
-                tile.free_channels.push(ch);
-            }
+            // Close the channel, keeping the others in opening order,
+            // and recycle the node: its queue keeps (empty) capacity.
+            let ch = tile.channels.remove(i);
+            debug_assert!(ch.queue.is_empty());
+            tile.free_channels.push(ch);
         }
         // The previous transaction on `line` is fully settled here: its
         // DirUpdate (if any) provably landed first, its invalidations
@@ -562,7 +634,6 @@ impl CoherenceEngine {
         #[cfg(feature = "strict-invariants")]
         self.check_invariants_at(line);
         if let Some(next) = next {
-            self.tile_mut(home).channels.get_mut(&line).unwrap().active = Some(next);
             self.cur_stats().dir_queue_wait_cycles += now - next.enq_time;
             if ctx.tracing() {
                 ctx.trace(
@@ -604,28 +675,33 @@ impl CoherenceEngine {
                 if !kind.needs_exclusive() {
                     self.grant_from_home(now, t, x, ctx)
                 } else {
-                    // Invalidate all other sharers; acks go to the
-                    // requester. Each sharer drops its copy when the
-                    // invalidation *arrives* at its tile; every arrival
-                    // is strictly before the grant below, since the
-                    // grant waits out max(to_s + ack) ≥ to_s + 1.
-                    let others = mask.without(core);
-                    let mut inv_lat = 0;
-                    for s in others.iter() {
-                        let to_s = self.msg(home, s, MsgClass::Control);
-                        let ack = self.msg(s, core, MsgClass::Control);
-                        inv_lat = inv_lat.max(to_s + ack);
-                        ctx.schedule(to_s, s, CohEvent::InvArrive { line });
-                        self.cur_stats().invalidations += 1;
-                    }
-                    let upgrade = mask.contains(core);
+                    // Invalidate all other sharers, in ascending core
+                    // order; acks go to the requester. Each sharer drops
+                    // its copy when the invalidation *arrives* at its
+                    // tile; every arrival is strictly before the grant
+                    // below, since the grant waits out
+                    // max(to_s + ack) ≥ to_s + 1.
+                    let inv_lat = {
+                        let ts = &mut self.tile_stats[self.cur];
+                        let sharers = &self.tiles[home.idx()].sharers;
+                        let mut inv_lat = 0;
+                        for s in sharers.iter(mask).filter(|&s| s != core) {
+                            let to_s = send(&self.mesh, ts, home, s, MsgClass::Control);
+                            let ack = send(&self.mesh, ts, s, core, MsgClass::Control);
+                            inv_lat = inv_lat.max(to_s + ack);
+                            ctx.schedule(to_s, s, CohEvent::InvArrive { line });
+                            ts.invalidations += 1;
+                        }
+                        inv_lat
+                    };
+                    let upgrade = self.tile_at(home).sharers.contains(mask, core);
                     let data_lat = if upgrade {
                         // Permission-only grant.
                         self.msg(home, core, MsgClass::Control)
                     } else {
                         self.cfg.l2_data_latency + self.msg(home, core, MsgClass::Data)
                     };
-                    *self.l2_mut(home).peek_mut(line).unwrap() = DirState::Modified(core);
+                    self.tile_mut(home).set_dir(line, DirState::Modified(core));
                     ctx.schedule(
                         t - now + data_lat.max(inv_lat),
                         core,
@@ -671,21 +747,22 @@ impl CoherenceEngine {
                  {home} (L2 pin lost mid-transaction?)"
             );
         }
-        let dir = self.l2_mut(home).peek_mut(line).unwrap();
-        *dir = if kind.needs_exclusive() {
+        let tile = self.tile_mut(home);
+        let new = if kind.needs_exclusive() {
             DirState::Modified(core)
         } else {
-            match *dir {
-                DirState::Shared(mask) => DirState::Shared(mask.with(core)),
+            match *tile.l2.peek(line).unwrap() {
+                DirState::Shared(mask) => DirState::Shared(tile.sharers.with(mask, core)),
                 // MESI: a sole reader of an uncached line gets Exclusive;
                 // the directory tracks it like any exclusive owner.
                 _ if mesi => {
                     x.grant_exclusive = true;
                     DirState::Modified(core)
                 }
-                _ => DirState::Shared(crate::CoreSet::only(core)),
+                _ => DirState::Shared(SharerSet::only(core)),
             }
         };
+        tile.set_dir(line, new);
         let lat = self.cfg.l2_data_latency + self.msg(home, core, MsgClass::Data);
         ctx.schedule(t_ready - now + lat, core, CohEvent::GrantArrive(x));
     }
@@ -831,10 +908,12 @@ impl CoherenceEngine {
                 "DirUpdate for {line} but no home L2 entry (pin lost mid-transaction?)"
             );
         }
-        *self.l2_mut(home).peek_mut(line).unwrap() = match kept_by {
+        let tile = self.tile_mut(home);
+        let new = match kept_by {
             None => DirState::Modified(req),
-            Some(o) => DirState::Shared(crate::CoreSet::only(o).with(req)),
+            Some(o) => DirState::Shared(tile.sharers.with(SharerSet::only(o), req)),
         };
+        tile.set_dir(line, new);
     }
 
     /// An invalidation reached a Shared-state holder: drop the copy.
@@ -850,17 +929,16 @@ impl CoherenceEngine {
     /// re-granted the line) is dropped.
     fn writeback_arrive(&mut self, line: LineAddr, from: CoreId) {
         let home = self.home_here(line);
-        if self.tile_at(home).channels.contains_key(&line) {
+        let tile = self.tile_mut(home);
+        if tile.channel(line).is_some() {
             // An active transaction rewrites the directory itself (the
             // requester re-fetches through the home or a probe-miss
             // bounce); applying the stale writeback under it would
             // corrupt that.
             return;
         }
-        if let Some(dir) = self.l2_mut(home).peek_mut(line) {
-            if *dir == DirState::Modified(from) {
-                *dir = DirState::Uncached;
-            }
+        if tile.l2.peek(line) == Some(&DirState::Modified(from)) {
+            tile.set_dir(line, DirState::Uncached);
         }
     }
 
@@ -869,15 +947,15 @@ impl CoherenceEngine {
     /// re-granted exclusively while the notice was in flight).
     fn sharer_drop(&mut self, line: LineAddr, from: CoreId) {
         let home = self.home_here(line);
-        if let Some(dir) = self.l2_mut(home).peek_mut(line) {
-            if let DirState::Shared(mask) = *dir {
-                let m = mask.without(from);
-                *dir = if m.is_empty() {
-                    DirState::Uncached
-                } else {
-                    DirState::Shared(m)
-                };
-            }
+        let tile = self.tile_mut(home);
+        if let Some(&DirState::Shared(mask)) = tile.l2.peek(line) {
+            let m = tile.sharers.without(mask, from);
+            let new = if tile.sharers.is_empty(m) {
+                DirState::Uncached
+            } else {
+                DirState::Shared(m)
+            };
+            tile.set_dir(line, new);
         }
     }
 
@@ -1050,31 +1128,41 @@ impl CoherenceEngine {
     /// are messages: each copy holder drops its copy (and lease) when the
     /// `BackInval` arrives at its tile.
     fn l2_install(&mut self, now: Cycle, home: CoreId, line: LineAddr, ctx: &mut dyn CohContext) {
-        match self.l2_mut(home).insert(line, DirState::Uncached) {
-            Inserted::NoVictim => {}
-            Inserted::Evicted(vline, vdir) => match vdir {
-                DirState::Uncached => {}
-                DirState::Shared(mask) => {
-                    for s in mask.iter() {
-                        let lat = self.msg(home, s, MsgClass::Control);
-                        ctx.schedule(lat, s, CohEvent::BackInval { line: vline });
-                        self.cur_stats().invalidations += 1;
-                    }
-                }
-                DirState::Modified(o) => {
-                    let lat = self.msg(home, o, MsgClass::Control);
-                    ctx.schedule(lat, o, CohEvent::BackInval { line: vline });
-                    // The victim's dirty data heads home alongside.
-                    let _ = self.msg(o, home, MsgClass::Data);
-                    self.cur_stats().invalidations += 1;
-                }
-            },
+        let (vline, vdir) = match self.l2_mut(home).insert(line, DirState::Uncached) {
+            Inserted::NoVictim => return,
+            Inserted::Evicted(vline, vdir) => (vline, vdir),
             Inserted::AllPinned => {
                 protocol_bug!(
                     now,
                     "installing {line} at {home}: every way of its L2 set is pinned by an \
                      active transaction; enlarge L2 or the set associativity"
                 )
+            }
+        };
+        debug_assert!(
+            self.tile_at(home).channel(vline).is_none(),
+            "evicted {vline} from its L2 slice with its channel open"
+        );
+        match vdir {
+            DirState::Uncached => {}
+            DirState::Shared(mask) => {
+                // Back-invalidate in ascending core order, then free the
+                // victim's sharer slot.
+                let ts = &mut self.tile_stats[self.cur];
+                let sharers = &self.tiles[home.idx()].sharers;
+                for s in sharers.iter(mask) {
+                    let lat = send(&self.mesh, ts, home, s, MsgClass::Control);
+                    ctx.schedule(lat, s, CohEvent::BackInval { line: vline });
+                    ts.invalidations += 1;
+                }
+                self.tile_mut(home).sharers.release(mask);
+            }
+            DirState::Modified(o) => {
+                let lat = self.msg(home, o, MsgClass::Control);
+                ctx.schedule(lat, o, CohEvent::BackInval { line: vline });
+                // The victim's dirty data heads home alongside.
+                let _ = self.msg(o, home, MsgClass::Data);
+                self.cur_stats().invalidations += 1;
             }
         }
     }
@@ -1092,8 +1180,10 @@ impl CoherenceEngine {
     pub fn check_invariants_at(&self, line: LineAddr) {
         let mut exclusive: Option<CoreId> = None;
         let mut copies = 0usize;
-        for (c, l1) in self.l1.iter().enumerate() {
-            let Some(&st) = l1.peek(line) else { continue };
+        for (c, tile) in self.tiles.iter().enumerate() {
+            let Some(&st) = tile.l1.peek(line) else {
+                continue;
+            };
             copies += 1;
             if matches!(st, L1State::Modified | L1State::Exclusive) {
                 if let Some(prev) = exclusive {
@@ -1118,9 +1208,10 @@ impl CoherenceEngine {
     pub fn check_invariants(&self) {
         assert_eq!(self.in_flight(), 0, "invariant check requires quiescence");
         assert!(self.tiles.iter().all(|t| t.stalled.is_empty()));
-        for (c, l1) in self.l1.iter().enumerate() {
+        assert!(self.tiles.iter().all(|t| t.channels.is_empty()));
+        for (c, tile) in self.tiles.iter().enumerate() {
             let c = CoreId(c as u16);
-            for (line, st) in l1.iter() {
+            for (line, st) in tile.l1.iter() {
                 let dir = self
                     .dir_state(line)
                     .unwrap_or_else(|| panic!("inclusivity violated: {line} at {c} not in L2"));
@@ -1131,38 +1222,44 @@ impl CoherenceEngine {
                             DirState::Modified(c),
                             "dir disagrees with E/M copy at {c} for {line}"
                         );
-                        for (o, other) in self.l1.iter().enumerate() {
+                        for (o, other) in self.tiles.iter().enumerate() {
                             if o != c.idx() {
-                                assert!(!other.contains(line), "two copies of modified {line}");
+                                assert!(!other.l1.contains(line), "two copies of modified {line}");
                             }
                         }
                     }
                     L1State::Shared => match dir {
-                        DirState::Shared(mask) => {
-                            assert!(mask.contains(c), "sharer bit missing for {c} {line}")
-                        }
+                        DirState::Shared(mask) => assert!(
+                            self.tiles[self.home_of(line).idx()]
+                                .sharers
+                                .contains(mask, c),
+                            "sharer bit missing for {c} {line}"
+                        ),
                         other => panic!("S copy at {c} for {line} but dir={other:?}"),
                     },
                 }
             }
         }
-        // Directory entries must be backed by actual copies.
-        for l2 in &self.l2 {
-            for (line, dir) in l2.iter() {
+        // Directory entries must be backed by actual copies, and every
+        // occupied sharer slot by a spilled entry (no slot leaks).
+        for (h, home) in self.tiles.iter().enumerate() {
+            let mut spilled = 0;
+            for (line, dir) in home.l2.iter() {
                 match *dir {
                     DirState::Uncached => {}
                     DirState::Modified(o) => {
-                        let st = self.l1[o.idx()].peek(line);
+                        let st = self.tiles[o.idx()].l1.peek(line);
                         assert!(
                             matches!(st, Some(L1State::Modified | L1State::Exclusive)),
                             "dir=M({o}) but no E/M copy for {line} (found {st:?})"
                         );
                     }
                     DirState::Shared(mask) => {
-                        assert!(!mask.is_empty(), "empty sharer set for {line}");
-                        for s in mask.iter() {
+                        assert!(!home.sharers.is_empty(mask), "empty sharer set for {line}");
+                        spilled += mask.is_spilled() as usize;
+                        for s in home.sharers.iter(mask) {
                             assert_eq!(
-                                self.l1[s.idx()].peek(line),
+                                self.tiles[s.idx()].l1.peek(line),
                                 Some(&L1State::Shared),
                                 "dir sharer {s} lacks S copy of {line}"
                             );
@@ -1170,6 +1267,11 @@ impl CoherenceEngine {
                     }
                 }
             }
+            assert_eq!(
+                home.sharers.live(),
+                spilled,
+                "tile {h}: occupied sharer slots differ from spilled directory entries"
+            );
         }
     }
 }

@@ -33,15 +33,17 @@
 //! against the executing tile and panics on a violation.
 
 mod engine;
+mod sharers;
 #[cfg(test)]
 mod tests_engine;
 
 pub use engine::{CoherenceEngine, PendingProbe};
+pub use sharers::SharerSet;
 
 use lr_sim_core::{CoreId, Cycle, LineAddr, TraceEvent};
 
 /// Permission a memory access needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// Needs the line in at least Shared state.
     Load,
@@ -61,7 +63,7 @@ impl AccessKind {
 }
 
 /// L1 line coherence state (absence from the cache = Invalid).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum L1State {
     /// Shared, read-only.
     Shared,
@@ -80,106 +82,18 @@ impl L1State {
     }
 }
 
-/// A set of cores: the directory's sharer list. A fixed 1024-bit bitset
-/// (`Copy`, 128 bytes), so directories scale to the multi-socket
-/// configurations — the previous representation was a single `u64`
-/// word, capping the machine at 64 cores.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub struct CoreSet([u64; CoreSet::WORDS]);
-
-impl CoreSet {
-    const WORDS: usize = lr_sim_core::SystemConfig::MAX_CORES / 64;
-    /// Largest representable core count.
-    pub const CAPACITY: usize = Self::WORDS * 64;
-    /// The empty set.
-    pub const EMPTY: CoreSet = CoreSet([0; Self::WORDS]);
-
-    /// The singleton set `{c}`.
-    #[inline]
-    pub fn only(c: CoreId) -> CoreSet {
-        Self::EMPTY.with(c)
-    }
-
-    /// The set whose low 64 members are given by `mask` (bit `i` ⇒ core
-    /// `i`) — mirrors the old `u64` directory representation; used by
-    /// tests that spell sharer sets as literals.
-    pub fn from_mask(mask: u64) -> CoreSet {
-        let mut s = Self::EMPTY;
-        s.0[0] = mask;
-        s
-    }
-
-    /// This set with `c` added.
-    #[inline]
-    #[must_use]
-    pub fn with(mut self, c: CoreId) -> CoreSet {
-        self.0[c.idx() / 64] |= 1 << (c.idx() % 64);
-        self
-    }
-
-    /// This set with `c` removed.
-    #[inline]
-    #[must_use]
-    pub fn without(mut self, c: CoreId) -> CoreSet {
-        self.0[c.idx() / 64] &= !(1 << (c.idx() % 64));
-        self
-    }
-
-    /// Is `c` a member?
-    #[inline]
-    pub fn contains(&self, c: CoreId) -> bool {
-        self.0[c.idx() / 64] & (1 << (c.idx() % 64)) != 0
-    }
-
-    /// Is the set empty?
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.0.iter().all(|&w| w == 0)
-    }
-
-    /// Number of members.
-    pub fn count(&self) -> usize {
-        self.0.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Members in ascending core order (word-skipping, so iteration cost
-    /// scales with membership, not capacity).
-    pub fn iter(self) -> impl Iterator<Item = CoreId> {
-        (0..Self::WORDS).flat_map(move |w| {
-            let mut bits = self.0[w];
-            std::iter::from_fn(move || {
-                if bits == 0 {
-                    None
-                } else {
-                    let b = bits.trailing_zeros();
-                    bits &= bits - 1;
-                    Some(CoreId((w * 64 + b as usize) as u16))
-                }
-            })
-        })
-    }
-}
-
-impl std::fmt::Debug for CoreSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("{")?;
-        for (i, c) in self.iter().enumerate() {
-            if i > 0 {
-                f.write_str(",")?;
-            }
-            write!(f, "{}", c.idx())?;
-        }
-        f.write_str("}")
-    }
-}
-
 /// Directory knowledge about one line (stored in its home L2 slice).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// Copying a `Shared` entry copies a handle: a spilled sharer set lives
+/// in its home tile's slab, which the directory updates in place and
+/// releases on every transition out of `Shared`. Read the members with
+/// [`CoherenceEngine::dir_sharers`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DirState {
     /// No L1 holds the line; L2/DRAM data is current.
     Uncached,
-    /// The set of cores holding the line in Shared state.
-    Shared(CoreSet),
+    /// The (never empty) set of cores holding the line in Shared state.
+    Shared(SharerSet),
     /// One core holds the line in Modified state.
     Modified(CoreId),
 }
@@ -188,7 +102,7 @@ pub enum DirState {
 /// messages instead of living in a shared table: each tile only ever
 /// sees the transactions whose messages are delivered to it, so no
 /// cross-tile lookup structure is needed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Xact {
     /// Unique id: `(requesting core << 48) | per-core issue counter`.
     /// Tile-local stamping keeps ids identical across executors.
@@ -244,8 +158,8 @@ pub enum CohEvent {
     /// now holds the line, as `Modified(req)` when the owner gave it up
     /// (`kept_by: None`) or as `Shared({o, req})` when owner `o` kept a
     /// Shared copy (`kept_by: Some(o)`). Carrying the delta instead of a
-    /// full [`DirState`] (whose 1024-bit sharer set is 128 B) keeps every
-    /// event small. Always arrives strictly before the same
+    /// [`DirState`] keeps the message free of sharer-set handles, which
+    /// only mean something inside the home tile's slab. Always arrives strictly before the same
     /// transaction's `DirUnlock` (see `engine.rs` for the latency
     /// argument), so the directory is current when the channel reopens.
     DirUpdate {
@@ -267,9 +181,13 @@ pub enum CohEvent {
 }
 
 // Every scheduled event is copied into the embedder's event queue, so
-// its size is paid on every message; a variant carrying a sharer set
-// would almost triple it.
+// its size is paid on every message.
 const _: () = assert!(std::mem::size_of::<CohEvent>() <= 48);
+// Every L2 way holds one directory entry: at kilo-core scale the ways
+// are most of the simulator's memory. A full-map sharer bitmap here
+// would be 128 B; the inline window plus spill handle is 16.
+const _: () = assert!(std::mem::size_of::<DirState>() <= 16);
+const _: () = assert!(std::mem::size_of::<Option<DirState>>() <= 16);
 
 /// What the lease layer tells the engine to do with a probe that reached
 /// an exclusive owner (see `lr-lease`).

@@ -104,7 +104,7 @@ fn cold_load_misses_then_hits() {
     assert_eq!(e.l1_state(c0, L), Some(L1State::Shared));
     assert_eq!(
         e.dir_state(L),
-        Some(DirState::Shared(CoreSet::from_mask(1)))
+        Some(DirState::Shared(SharerSet::from_mask(1)))
     );
     assert_eq!(e.stats().l2_misses, 1);
 
@@ -139,7 +139,7 @@ fn store_grants_modified_and_invalidation_on_second_reader() {
     assert_eq!(e.l1_state(c1, L), Some(L1State::Shared));
     assert_eq!(
         e.dir_state(L),
-        Some(DirState::Shared(CoreSet::from_mask(0b11)))
+        Some(DirState::Shared(SharerSet::from_mask(0b11)))
     );
     assert_eq!(e.stats().owner_probes, 1);
     e.check_invariants();
@@ -158,7 +158,7 @@ fn upgrade_invalidates_other_sharers() {
     }
     assert_eq!(
         e.dir_state(L),
-        Some(DirState::Shared(CoreSet::from_mask(0b111)))
+        Some(DirState::Shared(SharerSet::from_mask(0b111)))
     );
 
     // c1 upgrades: c0 and c2 lose their copies.
@@ -452,7 +452,7 @@ fn mesi_second_reader_downgrades_exclusive_cleanly() {
     assert_eq!(e.l1_state(c1, L), Some(L1State::Shared));
     assert_eq!(
         e.dir_state(L),
-        Some(DirState::Shared(CoreSet::from_mask(0b11)))
+        Some(DirState::Shared(SharerSet::from_mask(0b11)))
     );
     assert_eq!(e.stats().cores[0].l1_writebacks, 0, "E is clean");
     e.check_invariants();
@@ -737,7 +737,7 @@ fn dir_update_delta_rebuilds_the_directory_entry() {
     run(&mut e, &mut ctx);
     let now = ctx.queue.now();
     e.access(now, 1, c1, L, AccessKind::Load, false, true, &mut ctx);
-    let both = DirState::Shared(CoreSet::only(c0).with(c1));
+    let both = DirState::Shared(SharerSet::from_mask(0b11));
     assert_eq!(run_checking(&mut e, &mut ctx, both), [(c1, Some(c0))]);
     assert_eq!(e.dir_state(L), Some(both));
     e.check_invariants();

@@ -507,9 +507,8 @@ const _: () = {
 };
 
 impl Machine {
-    /// The largest simulated core count a machine supports (the width
-    /// of the directory's sharer set).
-    pub const MAX_CORES: usize = lr_coherence::CoreSet::CAPACITY;
+    /// The largest simulated core count a machine supports.
+    pub const MAX_CORES: usize = SystemConfig::MAX_CORES;
 
     /// A machine with the given configuration and an empty heap. Panics
     /// with [`SystemConfig::validate`]'s message if the configuration is

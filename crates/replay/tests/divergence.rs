@@ -209,3 +209,58 @@ fn both_event_queues_verify_and_both_catch_tampering() {
     assert_eq!(file_err, d.to_string());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Record a run that keeps several directory channels open at one home
+/// tile: sixteen threads FAA eight lines that all map to the same home
+/// slice (lines sixteen apart on a sixteen-core machine), two threads
+/// per line.
+fn record_shared_home(iters: u64) -> MachineTrace {
+    const CORES: usize = 16;
+    let mut machine = Machine::new(SystemConfig::with_cores(CORES));
+    let base = machine.setup(|m| m.alloc_line_aligned(64 * 16 * 8));
+    let progs: Vec<ThreadFn> = (0..CORES)
+        .map(|t| {
+            let cell = base.offset(64 * 16 * (t % 8) as u64);
+            program(async move |ctx: &mut ThreadCtx| {
+                for _ in 0..iters {
+                    ctx.faa(cell, 1).await;
+                    ctx.count_op();
+                }
+            })
+        })
+        .collect();
+    machine.run_recorded(progs).trace
+}
+
+/// A failure report lists each tile's open directory channels. Their
+/// order is fixed by the protocol, not by a per-process hash seed, so
+/// two replays of one divergent trace give byte-identical reports, and
+/// the report here really does hold several channels of one tile.
+#[test]
+fn failure_reports_are_byte_identical_across_replays() {
+    let mut trace = record_shared_home(6);
+    let off = reply_offsets(&trace, 0)[4];
+    trace.cores[0][off].reply_value ^= 1;
+    let reports: Vec<String> = (0..4)
+        .map(|_| match replay(&trace) {
+            ReplayOutcome::Diverged(d) => d.report,
+            _ => panic!("tampered trace replayed clean"),
+        })
+        .collect();
+    for r in &reports[1..] {
+        assert_eq!(&reports[0], r, "failure reports differ between replays");
+    }
+    let mut per_tile = std::collections::BTreeMap::<&str, usize>::new();
+    for l in reports[0]
+        .lines()
+        .filter(|l| l.trim_start().starts_with("channel "))
+    {
+        let tile = l.rsplit_once(" at tile ").unwrap().1;
+        *per_tile.entry(tile.split(':').next().unwrap()).or_default() += 1;
+    }
+    assert!(
+        per_tile.values().any(|&n| n >= 2),
+        "report holds no tile with two open channels:\n{}",
+        reports[0]
+    );
+}

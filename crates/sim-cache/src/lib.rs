@@ -11,18 +11,17 @@
 //! Pinning implements the paper's §5 requirement that leased lines stay
 //! resident: "the lease table mirrors the load buffer", i.e. a leased line
 //! cannot be chosen as an eviction victim.
+//!
+//! The ways are stored column-wise: one contiguous tag array, scanned by
+//! every lookup, and separate LRU-stamp, pin and payload arrays that
+//! only a hit or a fill touches. An 8-way set's tags are 64 B, one host
+//! cache line, whatever the payload size.
 
 use lr_sim_core::LineAddr;
 
-/// One resident line.
-#[derive(Debug, Clone)]
-struct Way<T> {
-    line: LineAddr,
-    /// Monotone use stamp; smallest = least recently used.
-    lru: u64,
-    pinned: bool,
-    payload: T,
-}
+/// Tag of an empty way. Never a real line: line addresses are byte
+/// addresses divided by the 64 B line size.
+const EMPTY: LineAddr = LineAddr(u64::MAX);
 
 /// Result of [`SetAssocCache::insert`].
 #[derive(Debug, PartialEq, Eq)]
@@ -40,11 +39,19 @@ pub enum Inserted<T> {
 }
 
 /// A set-associative cache with true LRU and pinnable lines.
-#[derive(Debug)]
+///
+/// Way `i` of the flat arrays is resident iff `tags[i] != EMPTY`, and
+/// then `payload[i]` is `Some`.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SetAssocCache<T> {
     sets: usize,
     ways: usize,
-    slots: Vec<Option<Way<T>>>,
+    /// Line held by each way, [`EMPTY`] when invalid.
+    tags: Vec<LineAddr>,
+    /// Monotone use stamp per way; smallest = least recently used.
+    lru: Vec<u64>,
+    pinned: Vec<bool>,
+    payload: Vec<Option<T>>,
     clock: u64,
 }
 
@@ -52,35 +59,47 @@ impl<T> SetAssocCache<T> {
     /// A cache with `sets` sets of `ways` ways.
     pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets > 0 && ways > 0);
-        let mut slots = Vec::new();
-        slots.resize_with(sets * ways, || None);
+        let n = sets * ways;
+        let mut payload = Vec::new();
+        payload.resize_with(n, || None);
         SetAssocCache {
             sets,
             ways,
-            slots,
+            tags: vec![EMPTY; n],
+            lru: vec![0; n],
+            pinned: vec![false; n],
+            payload,
             clock: 0,
         }
     }
 
     #[inline]
-    fn set_of(&self, line: LineAddr) -> usize {
-        (line.0 as usize) % self.sets
-    }
-
-    #[inline]
     fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
-        let s = self.set_of(line) * self.ways;
+        let s = (line.0 as usize) % self.sets * self.ways;
         s..s + self.ways
     }
 
+    #[inline]
     fn find(&self, line: LineAddr) -> Option<usize> {
-        self.set_range(line)
-            .find(|&i| self.slots[i].as_ref().is_some_and(|w| w.line == line))
+        let r = self.set_range(line);
+        let start = r.start;
+        self.tags[r]
+            .iter()
+            .position(|&t| t == line)
+            .map(|i| start + i)
+    }
+
+    /// Place `line` in the (invalid or evicted) way `i` as the MRU line.
+    fn fill(&mut self, i: usize, line: LineAddr, payload: T) -> Option<T> {
+        self.tags[i] = line;
+        self.lru[i] = self.clock;
+        self.pinned[i] = false;
+        self.payload[i].replace(payload)
     }
 
     /// Number of resident lines.
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
 
     /// True if no lines are resident.
@@ -95,60 +114,46 @@ impl<T> SetAssocCache<T> {
 
     /// Payload of `line`, if resident. Does not touch LRU state.
     pub fn peek(&self, line: LineAddr) -> Option<&T> {
-        self.find(line)
-            .map(|i| &self.slots[i].as_ref().unwrap().payload)
+        self.find(line).and_then(|i| self.payload[i].as_ref())
     }
 
     /// Mutable payload of `line`, if resident. Does not touch LRU state.
     pub fn peek_mut(&mut self, line: LineAddr) -> Option<&mut T> {
-        self.find(line)
-            .map(|i| &mut self.slots[i].as_mut().unwrap().payload)
+        self.find(line).and_then(|i| self.payload[i].as_mut())
     }
 
     /// Payload of `line`, marking it most-recently-used.
     pub fn touch(&mut self, line: LineAddr) -> Option<&mut T> {
         let i = self.find(line)?;
         self.clock += 1;
-        let w = self.slots[i].as_mut().unwrap();
-        w.lru = self.clock;
-        Some(&mut w.payload)
+        self.lru[i] = self.clock;
+        self.payload[i].as_mut()
     }
 
     /// Insert `line` (must not be resident), evicting the LRU non-pinned
     /// way of its set if the set is full.
     pub fn insert(&mut self, line: LineAddr, payload: T) -> Inserted<T> {
         debug_assert!(!self.contains(line), "insert of resident line {line}");
+        debug_assert_ne!(line, EMPTY, "the empty-way tag is not a line");
         self.clock += 1;
-        let clock = self.clock;
         let range = self.set_range(line);
 
-        // Prefer an invalid way.
-        if let Some(i) = range.clone().find(|&i| self.slots[i].is_none()) {
-            self.slots[i] = Some(Way {
-                line,
-                lru: clock,
-                pinned: false,
-                payload,
-            });
+        // Prefer the first invalid way.
+        if let Some(i) = range.clone().find(|&i| self.tags[i] == EMPTY) {
+            self.fill(i, line, payload);
             return Inserted::NoVictim;
         }
 
         // Otherwise evict the least-recently-used non-pinned way.
         let victim = range
-            .filter(|&i| !self.slots[i].as_ref().unwrap().pinned)
-            .min_by_key(|&i| self.slots[i].as_ref().unwrap().lru);
+            .filter(|&i| !self.pinned[i])
+            .min_by_key(|&i| self.lru[i]);
         match victim {
             None => Inserted::AllPinned,
             Some(i) => {
-                let old = self.slots[i]
-                    .replace(Way {
-                        line,
-                        lru: clock,
-                        pinned: false,
-                        payload,
-                    })
-                    .unwrap();
-                Inserted::Evicted(old.line, old.payload)
+                let vline = self.tags[i];
+                let old = self.fill(i, line, payload);
+                Inserted::Evicted(vline, old.expect("resident way has a payload"))
             }
         }
     }
@@ -156,14 +161,18 @@ impl<T> SetAssocCache<T> {
     /// Remove `line`, returning its payload.
     pub fn remove(&mut self, line: LineAddr) -> Option<T> {
         let i = self.find(line)?;
-        self.slots[i].take().map(|w| w.payload)
+        // Reset the whole way, so equal contents compare equal.
+        self.tags[i] = EMPTY;
+        self.lru[i] = 0;
+        self.pinned[i] = false;
+        self.payload[i].take()
     }
 
     /// Pin or unpin `line`. Returns false if the line is not resident.
     pub fn set_pinned(&mut self, line: LineAddr, pinned: bool) -> bool {
         match self.find(line) {
             Some(i) => {
-                self.slots[i].as_mut().unwrap().pinned = pinned;
+                self.pinned[i] = pinned;
                 true
             }
             None => false,
@@ -172,22 +181,23 @@ impl<T> SetAssocCache<T> {
 
     /// Is `line` pinned?
     pub fn is_pinned(&self, line: LineAddr) -> bool {
-        self.find(line)
-            .is_some_and(|i| self.slots[i].as_ref().unwrap().pinned)
+        self.find(line).is_some_and(|i| self.pinned[i])
     }
 
     /// Iterate over `(line, payload)` of all resident lines.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, &T)> {
-        self.slots.iter().flatten().map(|w| (w.line, &w.payload))
+        self.tags
+            .iter()
+            .zip(&self.payload)
+            .filter_map(|(&t, p)| Some((t, p.as_ref()?)))
     }
 
     /// All pinned lines in the set that `line` maps to (used to pick a
     /// lease to force-release when a fill finds its whole set pinned).
     pub fn pinned_in_set(&self, line: LineAddr) -> Vec<LineAddr> {
         self.set_range(line)
-            .filter_map(|i| self.slots[i].as_ref())
-            .filter(|w| w.pinned)
-            .map(|w| w.line)
+            .filter(|&i| self.tags[i] != EMPTY && self.pinned[i])
+            .map(|i| self.tags[i])
             .collect()
     }
 }
