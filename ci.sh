@@ -20,9 +20,6 @@ cargo test -q --offline --workspace --features lease-release/strict-invariants
 echo "== driver smoke: every scenario, 2 parallel jobs =="
 LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --smoke --jobs 2 > /dev/null
 
-echo "== engine throughput smoke (gates on completion, not numbers) =="
-LR_NO_JSON=1 cargo run -q --release --offline -p lr-bench --bin lr-bench -- --scenario engine_throughput --smoke > /dev/null
-
 echo "== lock showdown smoke (asserts zero allocator msgs + combiner ledger) =="
 # Delegation locks (MCS/CLH/FC/CCSynch + lease hybrids) vs the paper's
 # TTS/leased locks over the same delegated stack. The scenario asserts,

@@ -9,8 +9,7 @@
 //! ```
 
 use lr_bench::{
-    build_plan, default_jobs, record_dir_from_env, registry, run, EnvKnobs, JsonPolicy, PlanOpts,
-    Scenario, ScenarioKind,
+    build_plan, default_jobs, registry, run, EnvKnobs, PlanOpts, Scenario, ScenarioKind,
 };
 
 const USAGE: &str = "\
@@ -33,10 +32,10 @@ OPTIONS:
     --smoke              Tiny ops + 2-thread cells across all selected
                          scenarios: fast offline coverage of the whole
                          experiment surface (used by ci.sh)
-    --kind sim|host|wall Keep only scenarios of one measurement kind:
+    --kind sim|host      Keep only scenarios of one measurement kind:
                          sim = deterministic simulations (byte-
-                         reproducible; what the event-queue A/B gate
-                         diffs), host/wall = wall-clock benches
+                         reproducible for any --jobs), host = the
+                         wall-clock native validation
     --record DIR         Record every simulation of this run as a trace
                          file in DIR (one collision-free file per cell)
     --replay DIR         Do not run the grid; replay every *.lrt trace
@@ -44,18 +43,19 @@ OPTIONS:
                          MachineStats (exit non-zero on any divergence)
     -h, --help           This help
 
-ENVIRONMENT:
+ENVIRONMENT (read once at startup; a bad value exits 2 naming it):
     LR_MAX_THREADS  cap for the default thread sweep
     LR_OPS          default per-thread ops (overridden by --ops)
-    LR_NATIVE_OPS   ops for the host-native validation scenario
+    LR_DLOCK_OPS    ops for lock_showdown, beating LR_OPS
+    LR_NUMA_OPS     ops for numa_serving, beating LR_OPS
+    LR_NATIVE_OPS   ops for validation_native, beating LR_OPS
     LR_JSON_DIR     directory for BENCH_*.json (default: workspace root)
-    LR_NO_JSON=1    disable the JSON export
-    LR_TRACE_DIR    entry-point alias for --record (read once at startup,
-                    never consulted by sweep workers)
+    LR_NO_JSON      1 disables the JSON export; 0 or empty keeps it
+    LR_TRACE_DIR    alias for --record (never consulted by sweep workers)
 ";
 
-/// Per-thread ops for `--smoke`: small enough that all 19 scenarios
-/// finish in seconds, large enough that every metric is exercised.
+/// Per-thread ops for `--smoke`: small enough that every scenario
+/// finishes in seconds, large enough that every metric is exercised.
 const SMOKE_OPS: u64 = 8;
 
 fn fail(msg: &str) -> ! {
@@ -87,7 +87,6 @@ fn list_scenarios() {
             match s.kind {
                 ScenarioKind::Sim => "sim",
                 ScenarioKind::Host => "host",
-                ScenarioKind::HostLockstep => "wall",
             },
             s.series.len(),
             s.default_ops,
@@ -189,10 +188,7 @@ fn main() {
                 kind_filter = Some(match value("--kind").as_str() {
                     "sim" => ScenarioKind::Sim,
                     "host" => ScenarioKind::Host,
-                    "wall" => ScenarioKind::HostLockstep,
-                    other => fail(&format!(
-                        "bad --kind value {other:?} (use sim, host, or wall)"
-                    )),
+                    other => fail(&format!("bad --kind value {other:?} (use sim or host)")),
                 })
             }
             other => fail(&format!("unknown argument {other:?}")),
@@ -202,12 +198,14 @@ fn main() {
     if let Some(dir) = &replay_dir {
         replay_directory(std::path::Path::new(dir));
     }
-    // --record beats the LR_TRACE_DIR alias; both are resolved exactly
-    // once, here, and flow to workers through the plan — never through
-    // mutable process-global env state.
-    let record_dir: Option<std::path::PathBuf> = record_dir
+    // Every LR_* knob is read here, once; a bad value stops the run.
+    // They flow to workers through the plan — never through mutable
+    // process-global env state.
+    let env = EnvKnobs::from_env().unwrap_or_else(|e| fail(&e));
+    // --record beats the LR_TRACE_DIR alias.
+    let record_dir = record_dir
         .map(std::path::PathBuf::from)
-        .or_else(record_dir_from_env);
+        .or_else(|| env.trace_dir.clone());
     if let Some(dir) = &record_dir {
         std::fs::create_dir_all(dir).unwrap_or_else(|e| {
             fail(&format!(
@@ -248,16 +246,14 @@ fn main() {
         threads.get_or_insert(vec![2]);
     }
 
-    // The sizing knobs are read here, once; a bad value stops the run.
-    let env = EnvKnobs::from_env().unwrap_or_else(|e| fail(&e));
     let opts = PlanOpts {
         scenarios: selected,
         series_filter,
         threads,
         ops,
-        env,
         jobs: jobs.unwrap_or_else(default_jobs),
-        json: JsonPolicy::from_env(),
+        json: env.json_policy(),
+        env,
         record_dir,
     };
     let plan = build_plan(&opts);

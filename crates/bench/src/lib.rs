@@ -5,13 +5,14 @@
 //! [`Report`] sink (aligned table + `CSV,` lines + atomic
 //! `BENCH_*.json` files), and a parallel deterministic sweep driver.
 //!
-//! Three ways in:
+//! Two ways in:
 //!
 //! * the `lr-bench` binary (`cargo run -p lr-bench --bin lr-bench --
 //!   --list`) — filters, `--jobs N` parallelism, `--smoke`;
-//! * the historical per-figure bench targets (`cargo bench -p lr-bench
-//!   --bench fig2_stack`), now thin wrappers over [`run_scenario`];
-//! * the library API ([`build_plan`] + [`run`]) used by the tests.
+//! * the library API ([`build_plan`] + [`run`]) used by the tests and
+//!   by perfbench.
+//!
+//! Host-side simulator speed is not measured here: `perfbench/` owns it.
 
 pub mod harness;
 pub mod report;
@@ -23,6 +24,4 @@ pub use harness::{threads_sweep, BenchRow};
 pub use report::{JsonPolicy, Report};
 pub use scenario::{CellCtx, CellOut, RecordTo, Scenario, ScenarioKind};
 pub use scenarios::{find, registry};
-pub use sweep::{
-    build_plan, default_jobs, record_dir_from_env, run, run_scenario, EnvKnobs, Plan, PlanOpts,
-};
+pub use sweep::{build_plan, default_jobs, run, EnvKnobs, Plan, PlanOpts};

@@ -1,6 +1,5 @@
 //! Instance-based report sink: per-run header/rows/CSV/JSON state,
-//! owned by whoever drives the sweep (the driver binary, a wrapper
-//! bench target, or a test).
+//! owned by whoever drives the sweep (the driver binary or a test).
 //!
 //! Replaces the old process-global `JSON_SINK` static. Each scenario's
 //! output is a [`Report`]: the banner + Table 1 header, one aligned
@@ -22,8 +21,8 @@ use std::io::Write;
 use std::path::PathBuf;
 
 /// Where (and whether) `BENCH_*.json` files are written. Resolved once
-/// per run — environment parsing, directory creation, and any warning
-/// happen exactly once, not per flush.
+/// per run from [`crate::EnvKnobs::json_policy`] — directory creation
+/// and any warning happen exactly once, not per flush.
 #[derive(Debug, Clone)]
 pub struct JsonPolicy {
     dir: Option<PathBuf>,
@@ -39,31 +38,6 @@ impl JsonPolicy {
     pub fn in_dir(dir: impl Into<PathBuf>) -> Self {
         JsonPolicy {
             dir: Self::resolve(dir.into()),
-        }
-    }
-
-    /// Resolve from the environment, warning (once) on an unusable
-    /// target directory instead of once per flush:
-    ///
-    /// * `LR_NO_JSON=1` disables the export entirely;
-    /// * `LR_JSON_DIR` names the output directory (created if needed);
-    /// * otherwise the workspace root (via `CARGO_MANIFEST_DIR`, which
-    ///   cargo sets for `cargo bench`/`cargo run` targets), else cwd.
-    pub fn from_env() -> Self {
-        if std::env::var("LR_NO_JSON").is_ok_and(|v| v == "1") {
-            return JsonPolicy::disabled();
-        }
-        let dir = std::env::var("LR_JSON_DIR").unwrap_or_else(|_| {
-            match std::env::var("CARGO_MANIFEST_DIR") {
-                // Bench/bin targets run with cwd = the package dir;
-                // default to the workspace root instead of scattering
-                // files under crates/bench/.
-                Ok(m) => format!("{m}/../.."),
-                Err(_) => ".".to_string(),
-            }
-        });
-        JsonPolicy {
-            dir: Self::resolve(PathBuf::from(dir)),
         }
     }
 

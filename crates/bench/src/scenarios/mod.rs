@@ -1,7 +1,6 @@
 //! The scenario registry: every paper figure/table as a declarative
-//! [`Scenario`] entry. One module per paper experiment, mirroring the
-//! historical bench-binary names (which survive as thin wrappers around
-//! [`crate::sweep::run_scenario`]).
+//! [`Scenario`] entry, one module per experiment. The `lr-bench` driver
+//! is the only way to run them.
 //!
 //! Registry order is canonical output order. [`ScenarioKind::Host`]
 //! entries must come last: the sweep driver dispatches sim cells to
@@ -12,7 +11,6 @@ use crate::scenario::Scenario;
 
 mod common;
 
-pub mod engine_throughput;
 pub mod fig2_stack;
 pub mod fig3_counter;
 pub mod fig3_pq;
@@ -29,14 +27,12 @@ pub mod tab_lease_sensitivity;
 pub mod tab_low_contention;
 pub mod tab_mesi;
 pub mod tab_msg_constancy;
-pub mod trace_replay;
 pub mod validation_native;
 
-/// All 19 scenarios (15 paper experiments, the delegation-lock
-/// showdown, the NUMA serving comparison, plus the engine-throughput
-/// and trace-replay infrastructure benches), in canonical (figure,
-/// table, validation) order; host-measured scenarios last.
-static REGISTRY: [&Scenario; 19] = [
+/// Every scenario (the paper experiments, the delegation-lock showdown
+/// and the NUMA serving comparison), in canonical (figure, table,
+/// validation) order; host-measured scenarios last.
+static REGISTRY: [&Scenario; 17] = [
     &fig2_stack::SCENARIO,
     &fig3_counter::SCENARIO,
     &fig3_queue::SCENARIO,
@@ -54,8 +50,6 @@ static REGISTRY: [&Scenario; 19] = [
     &lock_showdown::SCENARIO,
     &numa_serving::SCENARIO,
     &validation_native::SCENARIO,
-    &engine_throughput::SCENARIO,
-    &trace_replay::SCENARIO,
 ];
 
 /// Every registered scenario, in canonical order.

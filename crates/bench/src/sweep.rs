@@ -57,9 +57,9 @@ pub struct PlanOpts {
     /// Worker thread count for sim cells.
     pub jobs: usize,
     pub json: JsonPolicy,
-    /// Trace-record directory (`--record DIR` / the `LR_TRACE_DIR`
-    /// entry-point alias). Threaded through the plan to each cell
-    /// explicitly; workers never consult the environment.
+    /// Trace-record directory (`--record DIR` / [`EnvKnobs::trace_dir`]).
+    /// Threaded through the plan to each cell explicitly; workers never
+    /// consult the environment.
     pub record_dir: Option<PathBuf>,
 }
 
@@ -76,19 +76,6 @@ impl Default for PlanOpts {
             record_dir: None,
         }
     }
-}
-
-/// Read the `LR_TRACE_DIR` alias for `--record` once, at an entry
-/// point. This is the only place the knob is consulted: the value flows
-/// into [`PlanOpts::record_dir`] and from there through the plan, so
-/// concurrently-running sweep workers never touch process-global env
-/// state.
-pub fn record_dir_from_env() -> Option<PathBuf> {
-    let v = std::env::var_os("LR_TRACE_DIR")?;
-    if v.is_empty() {
-        return None;
-    }
-    Some(PathBuf::from(v))
 }
 
 /// Host parallelism, the default `--jobs`.
@@ -108,10 +95,10 @@ pub fn clamp_jobs(jobs: usize, host: usize) -> usize {
 /// Cap for the default paper thread sweep when `LR_MAX_THREADS` is unset.
 const DEFAULT_MAX_THREADS: usize = 64;
 
-/// The sweep driver's sizing knobs from the environment. Read them once,
-/// at an entry point ([`EnvKnobs::from_env`]); a set but unparsable
-/// value is an error that names the variable, never silently ignored.
-/// An empty value counts as unset.
+/// The sweep driver's sizing and output knobs from the environment.
+/// Read them once, at an entry point ([`EnvKnobs::from_env`]); a set but
+/// unparsable value is an error that names the variable, never silently
+/// ignored. An empty value counts as unset.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EnvKnobs {
     /// `LR_MAX_THREADS`: cap for the default paper thread sweep.
@@ -121,8 +108,14 @@ pub struct EnvKnobs {
     /// The scenario-specific op knobs that are set (`Scenario::ops_env`,
     /// e.g. `LR_NUMA_OPS`), which beat `LR_OPS` for their scenario.
     pub scenario_ops: Vec<(&'static str, u64)>,
-    /// `LR_JOBS`: worker count for [`run_scenario`].
-    pub jobs: Option<usize>,
+    /// `LR_NO_JSON=1`: write no `BENCH_*.json` files (`0` keeps them).
+    pub no_json: bool,
+    /// Where `BENCH_*.json` files go: `LR_JSON_DIR`, else the workspace
+    /// root when cargo runs the driver (`CARGO_MANIFEST_DIR/../..`);
+    /// `None` means the working directory.
+    pub json_dir: Option<PathBuf>,
+    /// `LR_TRACE_DIR`: entry-point alias for `--record DIR`.
+    pub trace_dir: Option<PathBuf>,
 }
 
 impl EnvKnobs {
@@ -133,8 +126,9 @@ impl EnvKnobs {
 
     /// Read every knob through `get` (a variable's value, if set).
     fn parse(get: impl Fn(&str) -> Option<String>) -> Result<EnvKnobs, String> {
+        let set = |var: &str| get(var).filter(|v| !v.is_empty());
         let count = |var: &str| -> Result<Option<u64>, String> {
-            match get(var).filter(|v| !v.is_empty()) {
+            match set(var) {
                 None => Ok(None),
                 Some(v) => match v.trim().parse::<u64>() {
                     Ok(n) if n > 0 => Ok(Some(n)),
@@ -148,12 +142,33 @@ impl EnvKnobs {
                 scenario_ops.push((var, n));
             }
         }
+        let no_json = match set("LR_NO_JSON").as_deref().map(str::trim) {
+            None | Some("0") => false,
+            Some("1") => true,
+            Some(v) => return Err(format!("LR_NO_JSON must be 1, 0 or empty, got {v:?}")),
+        };
+        // Cargo runs the driver with cwd = the package dir; default to
+        // the workspace root instead of scattering files under
+        // crates/bench/.
+        let json_dir =
+            set("LR_JSON_DIR").or_else(|| set("CARGO_MANIFEST_DIR").map(|m| format!("{m}/../..")));
         Ok(EnvKnobs {
             max_threads: count("LR_MAX_THREADS")?.map(|n| n as usize),
             ops: count("LR_OPS")?,
             scenario_ops,
-            jobs: count("LR_JOBS")?.map(|n| n as usize),
+            no_json,
+            json_dir: json_dir.map(PathBuf::from),
+            trace_dir: set("LR_TRACE_DIR").map(PathBuf::from),
         })
+    }
+
+    /// The JSON export these knobs select. Creates the directory if it
+    /// is missing; an unusable one warns once and disables the export.
+    pub fn json_policy(&self) -> JsonPolicy {
+        if self.no_json {
+            return JsonPolicy::disabled();
+        }
+        JsonPolicy::in_dir(self.json_dir.clone().unwrap_or_else(|| PathBuf::from(".")))
     }
 
     /// One scenario's per-thread operation count: explicit override
@@ -382,30 +397,6 @@ pub fn run(plan: &Plan, out: &mut (dyn Write + Send)) {
     em.assert_drained();
 }
 
-/// Entry point for the thin per-figure wrapper binaries: run one
-/// registered scenario with the historical environment knobs
-/// (`LR_MAX_THREADS`, `LR_OPS`, `LR_JSON_DIR`, `LR_NO_JSON`, plus
-/// `LR_JOBS` for the worker count) and stream to stdout.
-pub fn run_scenario(name: &str) {
-    let sc = scenarios::find(name)
-        .unwrap_or_else(|| panic!("unknown scenario {name:?}; see `lr-bench --list`"));
-    let env = EnvKnobs::from_env().unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    let opts = PlanOpts {
-        scenarios: vec![sc],
-        jobs: env.jobs.unwrap_or_else(default_jobs),
-        env,
-        json: JsonPolicy::from_env(),
-        record_dir: record_dir_from_env(),
-        ..PlanOpts::default()
-    };
-    let plan = build_plan(&opts);
-    let mut stdout = std::io::stdout();
-    run(&plan, &mut stdout);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,14 +415,16 @@ mod tests {
         let k = knobs(&[
             ("LR_OPS", "20"),
             ("LR_MAX_THREADS", " 4 "),
-            ("LR_JOBS", ""),
             ("LR_NUMA_OPS", "7"),
+            ("LR_NO_JSON", ""),
+            ("LR_TRACE_DIR", ""),
         ])
         .unwrap();
         assert_eq!(k.ops, Some(20));
         assert_eq!(k.max_threads, Some(4));
-        assert_eq!(k.jobs, None);
         assert_eq!(k.scenario_ops, [("LR_NUMA_OPS", 7)]);
+        assert!(!k.no_json);
+        assert_eq!(k.trace_dir, None);
         let numa = scenarios::find("numa_serving").unwrap();
         let stack = scenarios::find("fig2_stack").unwrap();
         assert_eq!(k.ops_for(numa, None), 7, "own knob beats LR_OPS");
@@ -442,7 +435,7 @@ mod tests {
 
     #[test]
     fn env_knobs_reject_unparsable_values_by_name() {
-        for var in ["LR_OPS", "LR_MAX_THREADS", "LR_JOBS", "LR_NUMA_OPS"] {
+        for var in ["LR_OPS", "LR_MAX_THREADS", "LR_NUMA_OPS"] {
             for bad in ["abc", "-3", "0", "1.5"] {
                 let err = knobs(&[(var, bad)]).expect_err(bad);
                 assert!(
@@ -451,6 +444,42 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn json_knobs_accept_only_one_zero_or_empty() {
+        for (v, off) in [("1", true), (" 1 ", true), ("0", false), ("", false)] {
+            assert_eq!(knobs(&[("LR_NO_JSON", v)]).unwrap().no_json, off, "{v:?}");
+        }
+        for bad in ["true", "yes", "2", "on"] {
+            let err = knobs(&[("LR_NO_JSON", bad)]).expect_err(bad);
+            assert!(
+                err.starts_with("LR_NO_JSON") && err.contains(&format!("{bad:?}")),
+                "LR_NO_JSON={bad}: {err}"
+            );
+        }
+        let dir = |vars: &[(&str, &str)]| knobs(vars).unwrap().json_dir;
+        assert_eq!(dir(&[]), None, "no knob and no cargo: working directory");
+        assert_eq!(
+            dir(&[("CARGO_MANIFEST_DIR", "/w/crates/bench")]),
+            Some(PathBuf::from("/w/crates/bench/../..")),
+            "under cargo: the workspace root"
+        );
+        assert_eq!(
+            dir(&[
+                ("CARGO_MANIFEST_DIR", "/w/crates/bench"),
+                ("LR_JSON_DIR", "out")
+            ]),
+            Some(PathBuf::from("out")),
+            "LR_JSON_DIR beats the workspace root"
+        );
+        assert_eq!(
+            dir(&[("LR_JSON_DIR", "")]),
+            None,
+            "an empty LR_JSON_DIR counts as unset"
+        );
+        let trace = knobs(&[("LR_TRACE_DIR", "traces")]).unwrap().trace_dir;
+        assert_eq!(trace, Some(PathBuf::from("traces")));
     }
 
     #[test]

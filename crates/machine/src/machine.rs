@@ -574,23 +574,14 @@ impl Machine {
     /// Like [`Machine::run`], additionally returning the final simulated
     /// memory for post-run audits (rank sums, final counter values, ...).
     pub fn run_with_memory(self, programs: Vec<ThreadFn>) -> (MachineStats, SimMemory) {
-        let (stats, mem, _events) = self.run_counted(programs);
+        let (stats, mem, _info) = self.run_counted_info(programs);
         (stats, mem)
     }
 
     /// Like [`Machine::run_with_memory`], additionally returning the
-    /// number of discrete events the engine processed — the denominator
-    /// for host-throughput measurements (`engine_throughput` scenario).
-    /// Kept out of [`MachineStats`] so the published simulated metrics
-    /// stay exactly the paper's.
-    pub fn run_counted(self, programs: Vec<ThreadFn>) -> (MachineStats, SimMemory, u64) {
-        let (stats, mem, info) = self.run_counted_info(programs);
-        (stats, mem, info.events)
-    }
-
-    /// Like [`Machine::run_counted`], returning the full [`EngineInfo`]
-    /// (event count and allocator messages) instead of the bare event
-    /// count.
+    /// [`EngineInfo`] (event count and allocator messages). Kept out of
+    /// [`MachineStats`] so the published simulated metrics stay exactly
+    /// the paper's.
     pub fn run_counted_info(
         self,
         programs: Vec<ThreadFn>,
@@ -599,7 +590,7 @@ impl Machine {
         (stats, mem, info)
     }
 
-    /// Like [`Machine::run_counted`], additionally capturing every
+    /// Like [`Machine::run_with_memory`], additionally capturing every
     /// core's op stream (operands, issue times, and observed replies)
     /// plus a pre-run memory snapshot, as a [`MachineTrace`] ready for
     /// [`tracefmt::encode`] and later engine-only replay.
